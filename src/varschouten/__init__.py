@@ -26,7 +26,6 @@ from .core import (
     exp,
     jet,
     jet_orders,
-    parity_of,
     sin,
 )
 from .functional import (
@@ -93,7 +92,6 @@ __all__ = [
     "jacobi_defect",
     "jet",
     "jet_orders",
-    "parity_of",
     "parse_context",
     "parse_density",
     "partial",

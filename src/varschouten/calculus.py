@@ -14,56 +14,79 @@ from typing import Union
 from .core import (
     FUNC_DERIVATIVE,
     Expression,
-    FieldContext,
     JetVar,
     _mul_keys,
     canonical_term,
     eval_zero_section,
-    jet_orders,
 )
 
 Side = str  # "left" | "right"
 
 
-def _check_side(side: str) -> str:
+def _add_term(out: dict, key, c) -> None:
+    """Accumulate c into out[key], dropping the key when the sum vanishes."""
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        del out[key]
+
+
+def _lower_power(units: tuple, i: int) -> tuple:
+    """A sorted unit tuple with the power (last field) of entry i lowered by one."""
+    *unit, p = units[i]
+    if p == 1:
+        return units[:i] + units[i + 1 :]
+    return units[:i] + ((*unit, p - 1),) + units[i + 1 :]
+
+
+def _partials(e: Expression, owner: int, side: Side) -> dict:
+    """Every directed partial of e along the jets of one owner, in one sweep.
+
+    Returns {sigma: d e / d(owner jet sigma)} over the nonzero partials.  Each
+    monomial key is edited directly: an even jet has its power lowered, an
+    odd jet is struck with (-1)^(odd jets crossed on the way to the `side`
+    end), and a function factor f(arg) becomes f'(arg) times the (cached)
+    sweep of its argument, placed in front of the rest of the monomial.
+    """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return side
-
-
-def _split_factors(key):
-    """A monomial key as a list of unit factors in canonical product order.
-
-    Units are ("even", jetvar, power), ("func", kind, arg_id, power) and
-    ("odd", jetvar); powered units stay whole (their inner derivative is the
-    power rule).  Only odd units carry parity 1.
-    """
-    even, funcs, odd = key
-    factors = []
-    for v, p in even:
-        factors.append(("even", v, p))
-    for kind, aid, p in funcs:
-        factors.append(("func", kind, aid, p))
-    for v in odd:
-        factors.append(("odd", v))
-    return factors
-
-
-def _slice_expr(ctx, factors) -> Expression:
-    """Reassemble a contiguous factor slice into a coefficient-1 expression."""
-    even = []
-    funcs = []
-    odd = []
-    for f in factors:
-        if f[0] == "even":
-            even.append((f[1], f[2]))
-        elif f[0] == "func":
-            funcs.append((f[1], f[2], f[3]))
+    ctx = e.ctx
+    odd_owner = ctx.parities[owner]
+    outs: dict = {}
+    for (even, funcs, odd), coeff in e.terms.items():
+        if not odd_owner:
+            for i, (jv, p) in enumerate(even):
+                if jv.owner == owner:
+                    key = (_lower_power(even, i), funcs, odd)
+                    _add_term(outs.setdefault(jv.order, {}), key, coeff * p)
         else:
-            odd.append(f[1])
-    built = canonical_term(ctx, 1, even, funcs, odd)
-    key, coeff = built
-    return Expression(ctx, {key: coeff})
+            for i, jv in enumerate(odd):
+                if jv.owner == owner:
+                    crossed = i if side == "left" else len(odd) - i - 1
+                    key = (even, funcs, odd[:i] + odd[i + 1 :])
+                    c = -coeff if crossed % 2 else coeff
+                    _add_term(outs.setdefault(jv.order, {}), key, c)
+        for i, (kind, aid, p) in enumerate(funcs):
+            d_arg = ctx._arg_partials.get((aid, owner, side))
+            if d_arg is None:
+                d_arg = _partials(ctx.arg(aid), owner, side)
+                ctx._arg_partials[(aid, owner, side)] = d_arg
+            if not d_arg:
+                continue
+            dkind, sgn = FUNC_DERIVATIVE[kind]
+            rest = (even, _lower_power(funcs, i), odd)
+            base = _mul_keys(ctx, ((), ((dkind, aid, 1),), ()), rest)[0]
+            c = coeff * p * sgn
+            if odd_owner and side == "right" and len(odd) % 2:
+                c = -c  # the odd d(arg) crosses every odd jet on its way right
+            for sigma, d in d_arg.items():
+                out = outs.setdefault(sigma, {})
+                for k2, c2 in d.terms.items():
+                    prod = _mul_keys(ctx, k2, base)
+                    if prod is not None:
+                        _add_term(out, prod[0], c * c2 * prod[1])
+    return {sigma: Expression(ctx, out) for sigma, out in outs.items() if out}
 
 
 def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
@@ -74,79 +97,21 @@ def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
     struck.  Even v uses the ordinary power rule.  Function factors
     differentiate by the chain rule through their arguments.
     """
-    _check_side(side)
-    ctx = e.ctx
-    vp = ctx.parities[v.owner]
-    result = Expression.zero(ctx)
-    for key, coeff in e.terms.items():
-        factors = _split_factors(key)
-        odd_prefix = 0  # number of odd factors strictly before the current one
-        n_odd = len(key[2])
-        for idx, unit in enumerate(factors):
-            here_odd = 1 if unit[0] == "odd" else 0
-            d_unit = None
-            if unit[0] == "even":
-                _, jv, p = unit
-                if vp == 0 and jv == v:
-                    built = canonical_term(ctx, p, [(jv, p - 1)], [], [])
-                    d_unit = Expression(ctx, dict([built]))
-            elif unit[0] == "func":
-                _, kind, aid, p = unit
-                if v.order in ctx.arg_owner_orders(aid, v.owner):
-                    d_arg = partial(ctx.arg(aid), v, side)
-                    if not d_arg.is_zero():
-                        dkind, sgn = FUNC_DERIVATIVE[kind]
-                        built = canonical_term(
-                            ctx, p * sgn, [], [(kind, aid, p - 1), (dkind, aid, 1)], []
-                        )
-                        d_unit = Expression(ctx, dict([built])) * d_arg
-            else:
-                _, jv = unit
-                if vp == 1 and jv == v:
-                    d_unit = Expression.const(ctx, 1)
-            if d_unit is None or d_unit.is_zero():
-                odd_prefix += here_odd
-                continue
-            if vp == 1:
-                crossed = odd_prefix if side == "left" else (n_odd - odd_prefix - here_odd)
-                sign = -1 if crossed % 2 else 1
-            else:
-                sign = 1
-            term = _slice_expr(ctx, factors[:idx]) * d_unit * _slice_expr(ctx, factors[idx + 1 :])
-            result = result + term.scale(coeff * sign)
-            odd_prefix += here_odd
-    return result
+    return _partials(e, v.owner, side).get(v.order) or Expression.zero(e.ctx)
 
 
 def _bump(order, direction):
     return order[:direction] + (order[direction] + 1,) + order[direction + 1 :]
 
 
-def _d_arg(ctx, aid, direction) -> Expression:
-    """Cached total derivative of an interned function argument."""
-    cache = getattr(ctx, "_arg_dtotal", None)
-    if cache is None:
-        cache = {}
-        ctx._arg_dtotal = cache
-    got = cache.get((aid, direction))
-    if got is None:
-        got = total_derivative(ctx.arg(aid), direction)
-        cache[(aid, direction)] = got
-    return got
-
-
 def _func_chain(ctx, kind, aid, direction) -> Expression:
     """Cached chain-rule factor of one function unit: f'(arg) * D(arg)."""
-    cache = getattr(ctx, "_func_chain", None)
-    if cache is None:
-        cache = {}
-        ctx._func_chain = cache
-    got = cache.get((kind, aid, direction))
+    got = ctx._func_chain.get((kind, aid, direction))
     if got is None:
         dkind, sgn = FUNC_DERIVATIVE[kind]
         head = Expression(ctx, {((), ((dkind, aid, 1),), ()): Fraction(sgn)})
-        got = head * _d_arg(ctx, aid, direction)
-        cache[(kind, aid, direction)] = got
+        got = head * total_derivative(ctx.arg(aid), direction)
+        ctx._func_chain[(kind, aid, direction)] = got
     return got
 
 
@@ -161,46 +126,26 @@ def total_derivative(e: Expression, direction: int = 0) -> Expression:
     if not 0 <= direction < ctx.n_indep:
         raise ValueError(f"direction {direction} out of range")
     out: dict = {}
-
-    def emit(built) -> None:
-        if built is None:
-            return
-        key, c = built
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-
     for (even, funcs, odd), coeff in e.terms.items():
         for i, (jv, p) in enumerate(even):
             raised = JetVar(jv.owner, _bump(jv.order, direction))
-            new_even = list(even)
-            if p == 1:
-                del new_even[i]
-            else:
-                new_even[i] = (jv, p - 1)
-            new_even.append((raised, 1))
-            emit(canonical_term(ctx, coeff * p, new_even, funcs, odd))
+            new_even = _lower_power(even, i) + ((raised, 1),)
+            built = canonical_term(ctx, coeff * p, new_even, funcs, odd)
+            if built is not None:
+                _add_term(out, *built)
         for i, (kind, aid, p) in enumerate(funcs):
             chain = _func_chain(ctx, kind, aid, direction)
-            if chain.is_zero():
-                continue
-            new_funcs = list(funcs)
-            if p == 1:
-                del new_funcs[i]
-            else:
-                new_funcs[i] = (kind, aid, p - 1)
-            base = (even, tuple(new_funcs), odd)
+            base = (even, _lower_power(funcs, i), odd)
             for k2, c2 in chain.terms.items():
                 prod = _mul_keys(ctx, base, k2)
                 if prod is not None:
-                    emit((prod[0], coeff * p * c2 * prod[1]))
+                    _add_term(out, prod[0], coeff * p * c2 * prod[1])
         for i, jv in enumerate(odd):
             raised = JetVar(jv.owner, _bump(jv.order, direction))
-            new_odd = list(odd)
-            new_odd[i] = raised
-            emit(canonical_term(ctx, coeff, even, funcs, new_odd))
+            new_odd = odd[:i] + (raised,) + odd[i + 1 :]
+            built = canonical_term(ctx, coeff, even, funcs, new_odd)
+            if built is not None:
+                _add_term(out, *built)
     return Expression(ctx, out)
 
 
@@ -223,15 +168,10 @@ def euler_blocks(
     Returns (sigma, block) pairs with nonzero blocks, sigma ascending in
     graded-lexicographic order.  Their sum is euler(e, ref, side).
     """
-    _check_side(side)
-    ctx = e.ctx
-    owner = ctx.owner(ref)
+    pmap = _partials(e, e.ctx.owner(ref), side)
     blocks = []
-    for sigma in sorted(jet_orders(e, owner), key=lambda s: (sum(s), s)):
-        p = partial(e, JetVar(owner, sigma), side)
-        if p.is_zero():
-            continue
-        block = iterated_derivative(p, sigma)
+    for sigma in sorted(pmap, key=lambda s: (sum(s), s)):
+        block = iterated_derivative(pmap[sigma], sigma)
         if sum(sigma) % 2:
             block = -block
         if not block.is_zero():
@@ -269,14 +209,8 @@ def euler(e: Expression, ref: Union[int, str], side: Side = "left") -> Expressio
     Same value as summing euler_blocks, computed with far fewer total
     derivatives via a nested alternating fold.
     """
-    _check_side(side)
     ctx = e.ctx
-    owner = ctx.owner(ref)
-    pmap = {}
-    for sigma in jet_orders(e, owner):
-        p = partial(e, JetVar(owner, sigma), side)
-        if not p.is_zero():
-            pmap[sigma] = p
+    pmap = _partials(e, ctx.owner(ref), side)
     if not pmap:
         return Expression.zero(ctx)
     return _alternating_total(ctx, pmap, 0)

@@ -11,7 +11,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,6 +20,7 @@ from .fuzz import FuzzParams, run_fuzz
 from .schouten import jacobi_defect, schouten_bracket
 from .textio import (
     ParseError,
+    _dumps,
     density_to_json,
     format_density,
     format_trace_report,
@@ -30,10 +30,6 @@ from .textio import (
 from .trace import expand_trace
 
 DEFAULT_CONTEXT = "indep x\nfield q even antifield p\n"
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _read_arg(value: str) -> str:

@@ -50,7 +50,8 @@ class FieldContext:
 
     Owners are numbered in declaration order, each field immediately followed
     by its antifield; the antifield parity is the field parity flipped.  The
-    context also owns the hash-cons table for function-factor arguments.
+    context also owns the hash-cons table for function-factor arguments and
+    the caches of their derivatives.
     """
 
     def __init__(
@@ -90,6 +91,11 @@ class FieldContext:
         self._arg_keys: list[tuple] = []
         self._arg_index: dict[tuple, int] = {}
         self._arg_owner_orders: dict[tuple[int, int], frozenset] = {}
+        # derivative caches of interned arguments, filled by the calculus:
+        # (arg_id, owner, side) -> {sigma: directed partial of the argument}
+        self._arg_partials: dict[tuple[int, int, str], dict] = {}
+        # (kind, arg_id, direction) -> f'(arg) * D_direction(arg)
+        self._func_chain: dict[tuple[str, int, int], "Expression"] = {}
 
     def _add_owner(self, name: str, parity: int) -> int:
         idx = len(self.names)
@@ -500,11 +506,6 @@ def sin(arg: Expression) -> Expression:
 
 def cos(arg: Expression) -> Expression:
     return _func("cos", arg)
-
-
-def parity_of(e: Expression) -> int | None:
-    """Common Z2 parity of all monomials (zero counts as even); None if mixed."""
-    return e.parity
 
 
 def eval_zero_section(e: Expression) -> Fraction:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import is_exact
-from .core import Expression, FieldContext, Rat, parity_of
+from .core import Expression, FieldContext, Rat
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +35,7 @@ def zero_functional(ctx: FieldContext) -> Functional:
 
 def functional_parity(F: Functional) -> int:
     """Z2 parity of a homogeneous functional (0 even, 1 odd)."""
-    p = parity_of(F.density)
+    p = F.density.parity
     if p is None:
         raise ValueError(
             f"functional {F.label or ''!r} has a parity-mixed density; "

@@ -57,17 +57,31 @@ def eq1_sign(pF: int, pG: int) -> int:
     return _sign((pF + 1) * (pG + 1))
 
 
+def _jacobi_density(F, G, H, fg, fh, gh) -> Expression:
+    """The Jacobi defect density given the inner brackets fg=[[F,G]], fh, gh."""
+    sign = eq1_sign(functional_parity(F), functional_parity(G))
+    lhs = schouten_bracket(F, gh).density
+    rhs1 = schouten_bracket(fg, H).density
+    rhs2 = schouten_bracket(G, fh).density
+    return lhs - rhs1 - rhs2.scale(sign)
+
+
+def _symmetry_density(F, G, fg) -> Expression:
+    """The graded-symmetry defect density given the bracket fg=[[F,G]]."""
+    sign = eq1_sign(functional_parity(F), functional_parity(G))
+    return fg.density + schouten_bracket(G, F).density.scale(sign)
+
+
 def jacobi_defect(F: Functional, G: Functional, H: Functional) -> Functional:
     """Left side minus right side of the shifted-graded Jacobi identity.
 
     Assembles [[F,[[G,H]]]] - [[[[F,G]],H]] - (-1)^((|F|-1)(|G|-1)) [[G,[[F,H]]]]
     at density level; callers test the result against zero with functional_eq.
     """
-    sign = eq1_sign(functional_parity(F), functional_parity(G))
-    lhs = schouten_bracket(F, schouten_bracket(G, H).value).density
-    rhs1 = schouten_bracket(schouten_bracket(F, G).value, H).density
-    rhs2 = schouten_bracket(G, schouten_bracket(F, H).value).density
-    return Functional(lhs - rhs1 - rhs2.scale(sign))
+    fg = schouten_bracket(F, G).value
+    fh = schouten_bracket(F, H).value
+    gh = schouten_bracket(G, H).value
+    return Functional(_jacobi_density(F, G, H, fg, fh, gh))
 
 
 def graded_symmetry_defect(F: Functional, G: Functional) -> Functional:
@@ -76,9 +90,7 @@ def graded_symmetry_defect(F: Functional, G: Functional) -> Functional:
     The assembled density is returned without any claim that it vanishes
     (for even F the (F,F) case reduces to 2[[F,F]], which need not be zero).
     """
-    sign = eq1_sign(functional_parity(F), functional_parity(G))
-    d = schouten_bracket(F, G).density + schouten_bracket(G, F).density.scale(sign)
-    return Functional(d)
+    return Functional(_symmetry_density(F, G, schouten_bracket(F, G).value))
 
 
 def reorder_sign_ledger(pF: int, pG: int) -> dict[int, int]:

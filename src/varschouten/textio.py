@@ -12,6 +12,7 @@ The plain density syntax round-trips exactly with the canonical form:
 
 Multiplication is always written with '*'; a jet multi-index has one entry
 per independent coordinate (so q[2] is the second x-derivative on a line).
+Parentheses and function calls nest at most MAX_NESTING levels deep.
 Context files are line-based: one `indep` line naming the independent
 coordinates, then one `field NAME even|odd antifield NAME` line per
 conjugate pair; `#` starts a comment.
@@ -35,6 +36,10 @@ from .core import (
 )
 
 _FUNC_BUILDERS = {"exp": exp, "sin": sin, "cos": cos}
+
+#: deepest nesting of '(' and function calls the parser accepts; the parser
+#: recurses once per level, so this keeps it far from the interpreter's limit
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -101,6 +106,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -158,19 +164,27 @@ class _Parser:
                 return Expression.const(self.ctx, Fraction(numerator, int(den.text)))
             return Expression.const(self.ctx, numerator)
         if tok.kind == "(":
-            e = self.parse_expr()
-            self.expect(")", "')'")
-            return e
+            return self._group(tok)
         if tok.kind == "name":
             return self._atom_name(tok)
         found = repr(tok.text) if tok.text else "end of input"
         raise ParseError(f"expected a term, found {found}", tok.line, tok.col)
 
+    def _group(self, opening: _Token) -> Expression:
+        """The expression after an opening '(' through its closing ')'."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", opening.line, opening.col
+            )
+        self.depth += 1
+        e = self.parse_expr()
+        self.expect(")", "')'")
+        self.depth -= 1
+        return e
+
     def _atom_name(self, tok: _Token) -> Expression:
         if tok.text in RESERVED_NAMES:
-            self.expect("(", f"'(' after {tok.text}")
-            arg = self.parse_expr()
-            self.expect(")", "')'")
+            arg = self._group(self.expect("(", f"'(' after {tok.text}"))
             try:
                 return _FUNC_BUILDERS[tok.text](arg)
             except ValueError as exc:

@@ -18,16 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .calculus import euler_blocks, is_exact, iterated_derivative, partial
-from .core import Expression, JetVar, jet_orders
+from .calculus import _partials, euler_blocks, is_exact, iterated_derivative
+from .core import Expression
 from .functional import Functional, functional_parity
-from .schouten import eq1_sign, reorder_sign_ledger, schouten_bracket
+from .schouten import _sign, eq1_sign, jacobi_defect, reorder_sign_ledger
 
 ROLES = ("F", "G", "H")
-
-
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 def _graded(order) -> tuple:
@@ -50,17 +46,13 @@ def second_variation_cells(
     cells with (sigma, tau) ascending in graded-lexicographic order.
     """
     ctx = e.ctx
-    o1, o2 = ctx.owner(w1), ctx.owner(w2)
+    o2 = ctx.owner(w2)
+    firsts = _partials(e, ctx.owner(w1), side1)
     cells = []
-    for sigma in sorted(jet_orders(e, o1), key=_graded):
-        first = partial(e, JetVar(o1, sigma), side1)
-        if first.is_zero():
-            continue
-        for tau in sorted(jet_orders(first, o2), key=_graded):
-            kernel = partial(first, JetVar(o2, tau), side2)
-            if kernel.is_zero():
-                continue
-            value = iterated_derivative(kernel, tuple(a + b for a, b in zip(sigma, tau)))
+    for sigma in sorted(firsts, key=_graded):
+        kernels = _partials(firsts[sigma], o2, side2)
+        for tau in sorted(kernels, key=_graded):
+            value = iterated_derivative(kernels[tau], tuple(a + b for a, b in zip(sigma, tau)))
             if (sum(sigma) + sum(tau)) % 2:
                 value = -value
             if not value.is_zero():
@@ -369,7 +361,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
         lhs_total=totals["lhs"],
         rhs1_total=totals["rhs1"],
         rhs2_total=totals["rhs2"],
-        bracket_check=_bracket_check(F, G, H, eq, totals),
+        bracket_check=_bracket_check(F, G, H, residue),
     )
     return report
 
@@ -529,7 +521,7 @@ def _level(e: Expression) -> str:
     return "mismatch"
 
 
-def _bracket_check(F, G, H, eq, totals) -> dict:
+def _bracket_check(F, G, H, residue) -> dict:
     """Consistency of the trace with the plain iterated brackets.
 
     Block-form expansion redistributes terms across the three sections, so a
@@ -537,16 +529,15 @@ def _bracket_check(F, G, H, eq, totals) -> dict:
     modulo divergences; the meaningful statements are joint.  Reported levels:
     "residue" for the trace combination lhs - rhs1 - rhs2, "plain_defect" for
     the same combination of plain iterated brackets, and "joint" for the
-    difference of the two combinations.
+    difference of the two combinations.  When either combination is zero the
+    difference is the other one up to sign, whose level is already known.
     """
-    plain_defect = (
-        schouten_bracket(F, schouten_bracket(G, H).value).density
-        - schouten_bracket(schouten_bracket(F, G).value, H).density
-        - schouten_bracket(G, schouten_bracket(F, H).value).density.scale(eq)
-    )
-    residue = totals["lhs"] - totals["rhs1"] - totals["rhs2"]
-    return {
-        "residue": _level(residue),
-        "plain_defect": _level(plain_defect),
-        "joint": _level(residue - plain_defect),
-    }
+    plain_defect = jacobi_defect(F, G, H).density
+    levels = {"residue": _level(residue), "plain_defect": _level(plain_defect)}
+    if residue.is_zero():
+        levels["joint"] = levels["plain_defect"]
+    elif plain_defect.is_zero():
+        levels["joint"] = levels["residue"]
+    else:
+        levels["joint"] = _level(residue - plain_defect)
+    return levels

@@ -16,7 +16,7 @@ from varschouten import (
     is_exact,
     iterated_derivative,
     jet,
-    parity_of,
+    jet_orders,
     parse_context,
     parse_density,
     partial,
@@ -70,7 +70,7 @@ class TestPartial:
     def test_left_right_relation_on_homogeneous(self, ctx):
         # left and right odd partials differ by (-1)^(|f|-1)
         for e in _samples(ctx, 30, seed=5):
-            sign = -1 if (parity_of(e) - 1) % 2 else 1
+            sign = -1 if (e.parity - 1) % 2 else 1
             for wrt in (JetVar(1, (0,)), JetVar(1, (1,))):
                 left = partial(e, wrt, "left")
                 right = partial(e, wrt, "right").scale(sign)
@@ -78,6 +78,43 @@ class TestPartial:
 
     def test_absent_variable_gives_zero(self, ctx):
         assert partial(jet(ctx, "q"), JetVar(1, (0,)), "left").is_zero()
+
+    @pytest.mark.parametrize(
+        "text, max_jet_order, extra",
+        [
+            # odd jets inside function arguments: the generator never draws these
+            ("indep x\nfield q even antifield p\n", 2, [("q*exp(p*p[1])*p[2]", "cos(q[1]*p*p[2])*p")]),
+            ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 2, []),
+            ("indep x y\nfield q even antifield p\n", 1, []),
+            ("indep t\nfield psi odd antifield chi\n", 2, [("exp(psi*psi[1])*chi", "psi[2]")]),
+        ],
+        ids=["default", "pairs", "plane", "odd"],
+    )
+    def test_graded_leibniz_rule_both_sides(self, text, max_jet_order, extra):
+        # dL(ab) = dL(a) b + (-1)^(|v||a|) a dL(b);  dR(ab) = a dR(b) + (-1)^(|v||b|) dR(a) b
+        ctx = parse_context(text)
+        params = FuzzParams(max_jet_order=max_jet_order, max_degree=3)
+        rng = random.Random(29)
+        pairs = [(parse_density(a, ctx), parse_density(b, ctx)) for a, b in extra]
+        while len(pairs) < len(extra) + 25:
+            a = random_expression(ctx, rng, params, rng.randint(0, 1))
+            b = random_expression(ctx, rng, params, rng.randint(0, 1))
+            if not (a * b).is_zero():
+                pairs.append((a, b))
+        for a, b in pairs:
+            for owner in range(len(ctx.names)):
+                vp = ctx.parities[owner]
+                orders = jet_orders(a, owner) | jet_orders(b, owner) | jet_orders(a * b, owner)
+                for sigma in orders:
+                    v = JetVar(owner, sigma)
+                    left = partial(a, v, "left") * b + (a * partial(b, v, "left")).scale(
+                        -1 if vp * a.parity % 2 else 1
+                    )
+                    right = a * partial(b, v, "right") + (partial(a, v, "right") * b).scale(
+                        -1 if vp * b.parity % 2 else 1
+                    )
+                    assert partial(a * b, v, "left") == left
+                    assert partial(a * b, v, "right") == right
 
 
 class TestTotalDerivative:

@@ -14,7 +14,6 @@ from varschouten import (
     format_density,
     jet,
     jet_orders,
-    parity_of,
     parse_density,
     sin,
 )
@@ -109,10 +108,10 @@ class TestArithmetic:
 class TestParity:
     def test_homogeneous_values(self, ctx):
         q, p = jet(ctx, "q"), jet(ctx, "p")
-        assert parity_of(q) == 0
-        assert parity_of(p) == 1
-        assert parity_of(q * p) == 1
-        assert parity_of(p * jet(ctx, "p", 1)) == 0
+        assert q.parity == 0
+        assert p.parity == 1
+        assert (q * p).parity == 1
+        assert (p * jet(ctx, "p", 1)).parity == 0
 
     def test_mixed_sum_has_no_parity(self, ctx):
         mixed = jet(ctx, "q") + jet(ctx, "p")

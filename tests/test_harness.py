@@ -8,6 +8,7 @@ import pytest
 
 from varschouten import is_exact, parse_density
 from varschouten.cli import main
+from varschouten.textio import MAX_NESTING
 
 GOLDEN_F = "p * q * q[2]"
 GOLDEN_G = "p[1] * exp(q[1])"
@@ -204,6 +205,25 @@ class TestErrorHandling:
         )
         assert (code, out) == (2, "")
         assert err == "error: line 1, column 1: unknown directive 'frobnicate'\n"
+
+    @pytest.mark.parametrize(
+        "opening, depth", [("(", 3000), ("exp(", 600), ("(", MAX_NESTING + 1)]
+    )
+    def test_deep_nesting_exits_2(self, capsys, opening, depth):
+        density = opening * depth + "q" + ")" * depth
+        code, out, err = run(["normalize", "--density", density], capsys)
+        assert (code, out) == (2, "")
+        column = len(opening) * (MAX_NESTING + 1)  # the first '(' past the limit
+        assert err == (
+            f"error: line 1, column {column}: nesting deeper than {MAX_NESTING} levels\n"
+        )
+
+    @pytest.mark.parametrize("opening", ["(", "exp("])
+    def test_nesting_at_the_limit_parses(self, capsys, opening):
+        density = opening * MAX_NESTING + "q" + ")" * MAX_NESTING
+        code, out, err = run(["normalize", "--density", density], capsys)
+        want = "q" if opening == "(" else density
+        assert (code, out, err) == (0, want + "\n", "")
 
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, err = run([], capsys)

@@ -15,21 +15,14 @@ from .core import (
     FUNC_DERIVATIVE,
     Expression,
     JetVar,
+    _add_term,
+    _merge_even,
+    _merge_odd,
     _mul_keys,
-    canonical_term,
     eval_zero_section,
 )
 
 Side = str  # "left" | "right"
-
-
-def _add_term(out: dict, key, c) -> None:
-    """Accumulate c into out[key], dropping the key when the sum vanishes."""
-    s = out.get(key, 0) + c
-    if s:
-        out[key] = s
-    else:
-        del out[key]
 
 
 def _lower_power(units: tuple, i: int) -> tuple:
@@ -118,9 +111,11 @@ def _func_chain(ctx, kind, aid, direction) -> Expression:
 def total_derivative(e: Expression, direction: int = 0) -> Expression:
     """The even derivation D_direction raising jet orders by the chain rule.
 
-    Being even, D introduces no reordering signs of its own: each summand is
-    the original term with one slot replaced by its derivative, and the only
-    signs come from re-sorting odd jets into canonical position.
+    Like the partial sweep, each summand strikes one unit of the sorted key
+    and merges its derivative back in: a lowered even power merges with the
+    raised jet, and a struck odd jet moves to the right end with
+    (-1)^(odd jets crossed) before its raised jet merges into place.  Being
+    even, D adds no sign of its own; a repeated odd jet kills the summand.
     """
     ctx = e.ctx
     if not 0 <= direction < ctx.n_indep:
@@ -128,11 +123,9 @@ def total_derivative(e: Expression, direction: int = 0) -> Expression:
     out: dict = {}
     for (even, funcs, odd), coeff in e.terms.items():
         for i, (jv, p) in enumerate(even):
-            raised = JetVar(jv.owner, _bump(jv.order, direction))
-            new_even = _lower_power(even, i) + ((raised, 1),)
-            built = canonical_term(ctx, coeff * p, new_even, funcs, odd)
-            if built is not None:
-                _add_term(out, *built)
+            raised = ((JetVar(jv.owner, _bump(jv.order, direction)), 1),)
+            key = (_merge_even(_lower_power(even, i), raised), funcs, odd)
+            _add_term(out, key, coeff * p)
         for i, (kind, aid, p) in enumerate(funcs):
             chain = _func_chain(ctx, kind, aid, direction)
             base = (even, _lower_power(funcs, i), odd)
@@ -141,11 +134,11 @@ def total_derivative(e: Expression, direction: int = 0) -> Expression:
                 if prod is not None:
                     _add_term(out, prod[0], coeff * p * c2 * prod[1])
         for i, jv in enumerate(odd):
-            raised = JetVar(jv.owner, _bump(jv.order, direction))
-            new_odd = odd[:i] + (raised,) + odd[i + 1 :]
-            built = canonical_term(ctx, coeff, even, funcs, new_odd)
-            if built is not None:
-                _add_term(out, *built)
+            raised = (JetVar(jv.owner, _bump(jv.order, direction)),)
+            merged = _merge_odd(odd[:i] + odd[i + 1 :], raised)
+            if merged is not None:
+                c = coeff * merged[1]
+                _add_term(out, (even, funcs, merged[0]), -c if (len(odd) - i - 1) % 2 else c)
     return Expression(ctx, out)
 
 

@@ -179,6 +179,9 @@ def _check_name(name: str) -> None:
 #   even:  tuple of (JetVar, power), sorted by jet_key, powers >= 1
 #   funcs: tuple of (kind, arg_id, power), sorted by (kind, arg structural key)
 #   odd:   tuple of JetVar, strictly increasing by jet_key
+#
+# Keys are only built by merging keys that are already sorted (_mul_keys and
+# the _merge_* helpers); no monomial is ever re-sorted from scratch.
 # ---------------------------------------------------------------------------
 
 _EMPTY_KEY = ((), (), ())
@@ -265,41 +268,13 @@ def _mul_keys(ctx, k1, k2):
     return (_merge_even(k1[0], k2[0]), _merge_funcs(ctx, k1[1], k2[1]), odd), sign
 
 
-def _sort_funcs(ctx, funcs):
-    return tuple(sorted(funcs, key=lambda f: (f[0], ctx.arg_key(f[1]))))
-
-
-def canonical_term(ctx, coeff, even, funcs, odd):
-    """Build a canonical (key, coeff) pair from unsorted factor data.
-
-    `even` is an iterable of (JetVar, power); `funcs` of (kind, arg_id, power);
-    `odd` an iterable of JetVar in the intended product order.  Returns None
-    when the coefficient vanishes or an odd variable repeats.
-    """
-    coeff = Fraction(coeff)
-    if not coeff:
-        return None
-    merged: dict[JetVar, int] = {}
-    for v, p in even:
-        merged[v] = merged.get(v, 0) + p
-    even_t = tuple(sorted(((v, p) for v, p in merged.items() if p), key=lambda it: jet_key(it[0])))
-    fmerged: dict[tuple[str, int], int] = {}
-    for kind, aid, p in funcs:
-        fmerged[(kind, aid)] = fmerged.get((kind, aid), 0) + p
-    funcs_t = _sort_funcs(ctx, ((k, a, p) for (k, a), p in fmerged.items() if p))
-    odd_list = list(odd)
-    # insertion sort with transposition counting keeps the graded sign exact
-    sign = 1
-    for i in range(1, len(odd_list)):
-        j = i
-        while j > 0 and jet_key(odd_list[j - 1]) > jet_key(odd_list[j]):
-            odd_list[j - 1], odd_list[j] = odd_list[j], odd_list[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(odd_list)):
-        if odd_list[i - 1] == odd_list[i]:
-            return None
-    return (even_t, funcs_t, tuple(odd_list)), coeff * sign
+def _add_term(out: dict, key, c) -> None:
+    """Accumulate c into out[key], dropping the key when the sum vanishes."""
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        del out[key]
 
 
 class Expression:
@@ -361,11 +336,7 @@ class Expression:
         self._require_same_ctx(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _add_term(out, key, c)
         return Expression(self.ctx, out)
 
     def __sub__(self, other: "Expression") -> "Expression":
@@ -389,14 +360,8 @@ class Expression:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 prod = _mul_keys(ctx, k1, k2)
-                if prod is None:
-                    continue
-                key, sign = prod
-                s = out.get(key, 0) + c1 * c2 * sign
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                if prod is not None:
+                    _add_term(out, prod[0], c1 * c2 * prod[1])
         return Expression(ctx, out)
 
     def __rmul__(self, other):

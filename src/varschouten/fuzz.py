@@ -36,6 +36,18 @@ class FuzzParams:
     allow_funcs: bool = True
     parity: str = "any"  # "even" | "odd" | "any"
 
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("count", 0),
+            ("max_jet_order", 0),
+            ("max_degree", 1),
+            ("max_monomials", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.parity not in ("even", "odd", "any"):
+            raise ValueError(f"unknown parity choice {self.parity!r}")
+
 
 def trial_seed(seed: int, index: int) -> int:
     """The per-trial RNG seed: decorrelated from neighbours, reproducible alone."""
@@ -93,10 +105,8 @@ def random_functional(ctx, rng, params, label: str = "") -> Functional:
         parity = 0
     elif params.parity == "odd":
         parity = 1
-    elif params.parity == "any":
-        parity = rng.randint(0, 1)
     else:
-        raise ValueError(f"unknown parity choice {params.parity!r}")
+        parity = rng.randint(0, 1)
     return Functional(random_expression(ctx, rng, params, parity), label)
 
 

@@ -15,11 +15,11 @@ densities, or equality modulo divergences), and a final verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .calculus import _partials, euler_blocks, is_exact, iterated_derivative
-from .core import Expression
+from .core import Expression, _add_term
 from .functional import Functional, functional_parity
 from .schouten import _sign, eq1_sign, jacobi_defect, reorder_sign_ledger
 
@@ -92,7 +92,7 @@ class TraceGroup:
     role: str
     sign: int
     density: Expression
-    pieces: list = field(default_factory=list)
+    pieces: list
     label: Optional[int] = None
     raw_index: Optional[int] = None  # {j} pattern index, rhs2 only
     composite_sign: Optional[int] = None  # ledger sign for that {j}, rhs2 only
@@ -225,15 +225,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                                 if sect.name != "lhs" and struck == "F"
                                 else "match"
                             )
-                            group = TraceGroup(
-                                section=sect.name,
-                                index=idx,
-                                coords=coords,
-                                struck=struck,
-                                role=role,
-                                sign=scalar,
-                                density=Expression.zero(ctx),
-                            )
+                            group_pieces: list[TraceTerm] = []
                             cells = second_variation_cells(
                                 roles[struck].density, w1, s1, w2, s2
                             )
@@ -272,9 +264,18 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                                             density=dens,
                                         )
                                         sec_pieces.append(piece)
-                                        group.pieces.append(piece)
-                                        group.density = group.density + dens
+                                        group_pieces.append(piece)
                                         piece_by_key[_piece_key(piece)] = piece
+                            group = TraceGroup(
+                                section=sect.name,
+                                index=idx,
+                                coords=coords,
+                                struck=struck,
+                                role=role,
+                                sign=scalar,
+                                density=_total(group_pieces, ctx),
+                                pieces=group_pieces,
+                            )
                             sec_groups.append(group)
                             group_by_coords[(sect.name,) + coords] = group
         groups[sect.name] = sec_groups
@@ -297,24 +298,23 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             piece.label = counter
             counter += 1
         else:
-            partner = _find_match(piece, piece_by_key, pieces["lhs"])
+            partner = _find_partner(piece, piece_by_key)
             if partner is not None:
                 _bind_match(partner, piece, matches)
 
     for piece in pieces["rhs2"]:
+        partner = _find_partner(piece, piece_by_key)
+        if partner is None:
+            continue
         if piece.role == "match":
-            partner = _find_match(piece, piece_by_key, pieces["lhs"])
-            if partner is not None:
-                _bind_match(partner, piece, matches)
+            _bind_match(partner, piece, matches)
         else:
-            partner = _find_cancel(piece, piece_by_key, pieces["rhs1"])
-            if partner is not None:
-                piece.label = partner.label
-                piece.status = partner.status = "cancelled"
-                piece.level = partner.level = "canonical"
-                piece.partner = ("rhs1", partner.label)
-                partner.partner = ("rhs2", piece.label)
-                cancellation_pairs.append((partner.label, piece.label))
+            piece.label = partner.label
+            piece.status = partner.status = "cancelled"
+            piece.level = partner.level = "canonical"
+            piece.partner = ("rhs1", partner.label)
+            partner.partner = ("rhs2", piece.label)
+            cancellation_pairs.append((partner.label, piece.label))
 
     # fresh labels for anything that could not be paired piece-by-piece
     for name in ("rhs1", "rhs2"):
@@ -371,53 +371,41 @@ def _piece_key(piece: TraceTerm) -> tuple:
     return (piece.section,) + piece.coords + (blocks, piece.cell)
 
 
-def _predicted_key(piece: TraceTerm, target_section: str) -> tuple:
-    """Coordinates of the piece's partner under the variable-role swap.
+def _partner_coords(section: str, struck: str, coords: tuple) -> tuple:
+    """Section and coordinates of a group's partner under the role swap.
 
     Swapping the two strikes on the struck factor exchanges the outer and
-    inner faces and conjugate-pair indices and transposes the cell; the
-    unstruck first-variation blocks are carried over unchanged.
+    inner faces and conjugate-pair indices.  A left-side group pairs with the
+    right-side group striking the same functional; a right-side match pairs
+    with the left-side group striking it; the two right-hand brackets' second
+    variations of F pair with each other, one face flipped.
     """
-    i, f_o, j, f_i, target = piece.coords
+    i, f_o, j, f_i, target = coords
+    if section == "lhs":
+        return ("rhs1" if target == 0 else "rhs2", j, f_i, i, f_o, 1)
+    if struck != "F":
+        return ("lhs", j, f_i, i, f_o, 0 if struck == "G" else 1)
+    if section == "rhs1":
+        return ("rhs2", j, 1 - f_i, i, f_o, 0)
+    return ("rhs1", j, f_i, i, 1 - f_o, 0)
+
+
+def _find_partner(piece, piece_by_key):
+    """The pending piece predicted to match (or cancel) this right-side piece.
+
+    The partner sits at the swapped coordinates with the unstruck blocks
+    carried over and the cell transposed.  Pieces the prediction misses stay
+    pending and are closed per group by _close_groups_modulo_divergence.
+    """
     sigma, tau = piece.cell
     blocks = tuple(piece.blocks.get(r) for r in ROLES)
-    if target_section == "lhs":
-        lhs_target = 0 if piece.struck == "G" else 1
-        return ("lhs", j, f_i, i, f_o, lhs_target, blocks, (tau, sigma))
-    # rhs2 cancel piece looking up its rhs1 partner
-    return ("rhs1", j, f_i, i, 1 - f_o, 0, blocks, (tau, sigma))
-
-
-def _find_match(piece, piece_by_key, lhs_pieces):
-    cand = piece_by_key.get(_predicted_key(piece, "lhs"))
-    if cand is not None and cand.status == "pending" and cand.density == piece.density:
-        return cand
-    for cand in lhs_pieces:
-        if (
-            cand.status == "pending"
-            and cand.struck == piece.struck
-            and cand.density == piece.density
-        ):
-            return cand
-    return None
-
-
-def _find_cancel(piece, piece_by_key, rhs1_pieces):
-    cand = piece_by_key.get(_predicted_key(piece, "rhs1"))
-    if (
-        cand is not None
-        and cand.status == "pending"
-        and (cand.density + piece.density).is_zero()
-    ):
-        return cand
-    for cand in rhs1_pieces:
-        if (
-            cand.role == "cancel"
-            and cand.status == "pending"
-            and (cand.density + piece.density).is_zero()
-        ):
-            return cand
-    return None
+    key = _partner_coords(piece.section, piece.struck, piece.coords) + (blocks, (tau, sigma))
+    cand = piece_by_key.get(key)
+    if cand is None or cand.status != "pending":
+        return None
+    if piece.role == "match":
+        return cand if cand.density == piece.density else None
+    return cand if (cand.density + piece.density).is_zero() else None
 
 
 def _bind_match(lhs_piece, rhs_piece, matches):
@@ -434,35 +422,29 @@ def _assign_group_labels(groups, group_by_coords, ledger, ctx):
         g.label = g.index
     cancel_label = len(groups["lhs"]) + 1
     for g in groups["rhs1"]:
-        i, f_o, j, f_i, _ = g.coords
         if g.role == "match":
-            g.label = group_by_coords[("lhs", j, f_i, i, f_o, 0)].label
+            g.label = _partner_group(g, group_by_coords).label
         else:
             g.label = cancel_label
             cancel_label += 1
     for g in groups["rhs2"]:
-        i, f_o, j, f_i, target = g.coords
+        _, f_o, _, f_i, target = g.coords
         g.raw_index = 4 * f_o + 2 * f_i + target + 1
         g.composite_sign = ledger[g.raw_index]
-        if g.role == "match":
-            g.label = group_by_coords[("lhs", j, f_i, i, f_o, 1)].label
-        else:
-            g.label = group_by_coords[("rhs1", j, f_i, i, 1 - f_o, 0)].label
+        g.label = _partner_group(g, group_by_coords).label
+
+
+def _partner_group(group, group_by_coords):
+    return group_by_coords[_partner_coords(group.section, group.struck, group.coords)]
 
 
 def _close_groups_modulo_divergence(groups, group_by_coords, matches, cancellation_pairs):
     """Second stage: compare what piece-level pairing left over, per group."""
     for g in groups["lhs"]:
-        i, f_o, j, f_i, target = g.coords
-        partner_section = "rhs1" if target == 0 else "rhs2"
-        partner = group_by_coords[(partner_section, j, f_i, i, f_o, 1)]
-        _settle(g, partner, matches, None)
+        _settle(g, _partner_group(g, group_by_coords), matches, None)
     for g in groups["rhs1"]:
-        if g.role != "cancel":
-            continue
-        i, f_o, j, f_i, _ = g.coords
-        partner = group_by_coords[("rhs2", j, 1 - f_i, i, f_o, 0)]
-        _settle(g, partner, None, cancellation_pairs)
+        if g.role == "cancel":
+            _settle(g, _partner_group(g, group_by_coords), None, cancellation_pairs)
 
 
 def _settle(group, partner, matches, cancellation_pairs):
@@ -501,10 +483,11 @@ def _settle(group, partner, matches, cancellation_pairs):
 
 
 def _total(items, ctx) -> Expression:
-    total = Expression.zero(ctx)
+    out: dict = {}
     for piece in items:
-        total = total + piece.density
-    return total
+        for key, c in piece.density.terms.items():
+            _add_term(out, key, c)
+    return Expression(ctx, out)
 
 
 def _relabel_map(rhs2_groups, ctx) -> dict:

@@ -38,6 +38,34 @@ def _samples(ctx, count, parity="any", seed=11):
     return out
 
 
+# Four contexts with seeded product pairs: the default line, two pairs with an
+# odd field, the plane, and a single odd field.  Extra fixed pairs put odd
+# jets inside function arguments, which the generator never draws.
+CONTEXTS = pytest.mark.parametrize(
+    "text, max_jet_order, extra",
+    [
+        ("indep x\nfield q even antifield p\n", 2, [("q*exp(p*p[1])*p[2]", "cos(q[1]*p*p[2])*p")]),
+        ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 2, []),
+        ("indep x y\nfield q even antifield p\n", 1, []),
+        ("indep t\nfield psi odd antifield chi\n", 2, [("exp(psi*psi[1])*chi", "psi[2]")]),
+    ],
+    ids=["default", "pairs", "plane", "odd"],
+)
+
+
+def _product_pairs(text, max_jet_order, extra):
+    ctx = parse_context(text)
+    params = FuzzParams(max_jet_order=max_jet_order, max_degree=3)
+    rng = random.Random(29)
+    pairs = [(parse_density(a, ctx), parse_density(b, ctx)) for a, b in extra]
+    while len(pairs) < len(extra) + 25:
+        a = random_expression(ctx, rng, params, rng.randint(0, 1))
+        b = random_expression(ctx, rng, params, rng.randint(0, 1))
+        if not (a * b).is_zero():
+            pairs.append((a, b))
+    return ctx, pairs
+
+
 class TestPartial:
     def test_power_rule(self, ctx):
         q = jet(ctx, "q")
@@ -79,28 +107,10 @@ class TestPartial:
     def test_absent_variable_gives_zero(self, ctx):
         assert partial(jet(ctx, "q"), JetVar(1, (0,)), "left").is_zero()
 
-    @pytest.mark.parametrize(
-        "text, max_jet_order, extra",
-        [
-            # odd jets inside function arguments: the generator never draws these
-            ("indep x\nfield q even antifield p\n", 2, [("q*exp(p*p[1])*p[2]", "cos(q[1]*p*p[2])*p")]),
-            ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 2, []),
-            ("indep x y\nfield q even antifield p\n", 1, []),
-            ("indep t\nfield psi odd antifield chi\n", 2, [("exp(psi*psi[1])*chi", "psi[2]")]),
-        ],
-        ids=["default", "pairs", "plane", "odd"],
-    )
+    @CONTEXTS
     def test_graded_leibniz_rule_both_sides(self, text, max_jet_order, extra):
         # dL(ab) = dL(a) b + (-1)^(|v||a|) a dL(b);  dR(ab) = a dR(b) + (-1)^(|v||b|) dR(a) b
-        ctx = parse_context(text)
-        params = FuzzParams(max_jet_order=max_jet_order, max_degree=3)
-        rng = random.Random(29)
-        pairs = [(parse_density(a, ctx), parse_density(b, ctx)) for a, b in extra]
-        while len(pairs) < len(extra) + 25:
-            a = random_expression(ctx, rng, params, rng.randint(0, 1))
-            b = random_expression(ctx, rng, params, rng.randint(0, 1))
-            if not (a * b).is_zero():
-                pairs.append((a, b))
+        ctx, pairs = _product_pairs(text, max_jet_order, extra)
         for a, b in pairs:
             for owner in range(len(ctx.names)):
                 vp = ctx.parities[owner]
@@ -151,6 +161,19 @@ class TestTotalDerivative:
             lhs = partial(total_derivative(e), wrt, "left")
             rhs = total_derivative(partial(e, wrt, "left")) + partial(e, below, "left")
             assert lhs == rhs
+
+    @CONTEXTS
+    def test_chain_rule_through_the_partial_sweep(self, text, max_jet_order, extra):
+        # D_d e = sum over owners and sigma of jet(owner, sigma + 1_d) * dL e / d(owner jet sigma)
+        ctx, pairs = _product_pairs(text, max_jet_order, extra)
+        for e in (x for a, b in pairs for x in (a, b, a * b)):
+            for d in range(ctx.n_indep):
+                want = Expression.zero(ctx)
+                for owner in range(len(ctx.names)):
+                    for sigma in jet_orders(e, owner):
+                        raised = tuple(k + (axis == d) for axis, k in enumerate(sigma))
+                        want = want + jet(ctx, owner, raised) * partial(e, JetVar(owner, sigma), "left")
+                assert total_derivative(e, d) == want
 
     def test_direction_out_of_range(self, ctx):
         with pytest.raises(ValueError, match="direction"):

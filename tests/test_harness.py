@@ -8,6 +8,7 @@ import pytest
 
 from varschouten import is_exact, parse_density
 from varschouten.cli import main
+from varschouten.fuzz import FuzzParams
 from varschouten.textio import MAX_NESTING
 
 GOLDEN_F = "p * q * q[2]"
@@ -172,6 +173,23 @@ class TestFuzz:
         assert first[1] == (
             '{"degenerate":0,"failures":[],"trials":3,"verified":3}\n'
         )
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--count", "-5"), ("--max-jet-order", "-1"), ("--max-degree", "0"), ("--max-monomials", "0")],
+    )
+    def test_out_of_range_settings_exit_2(self, capsys, flag, value):
+        code, out, err = run(["fuzz", flag, value], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + flag[2:].replace("-", "_")) and err.count("\n") == 1
+
+    def test_zero_trials_verify(self, capsys):
+        code, out, err = run(["fuzz", "--count", "0"], capsys)
+        assert (code, out, err) == (0, "0/0 verified (0 degenerate)\n", "")
+
+    def test_unknown_parity_rejected(self):
+        with pytest.raises(ValueError, match="parity"):
+            FuzzParams(parity="mixed")
 
     def test_seed_env_override(self, capsys, monkeypatch):
         explicit = run(

@@ -1,5 +1,8 @@
 """Labeled expansion of the graded Jacobi identity and its bookkeeping."""
 
+import hashlib
+import random
+
 import pytest
 
 from varschouten import (
@@ -12,6 +15,8 @@ from varschouten import (
     reorder_sign_ledger,
     second_variation_cells,
 )
+from varschouten.fuzz import FuzzParams, random_functional, trial_seed
+from varschouten.textio import format_trace_report
 
 
 def test_second_variation_cells_frozen(ctx, golden):
@@ -144,3 +149,50 @@ def test_context_mismatch_rejected(ctx, golden):
     alien = Functional(parse_density("p * q", other), "A")
     with pytest.raises(ValueError, match="context"):
         expand_trace(F, G, alien)
+
+
+def _json_digest(F, G, H) -> str:
+    report = format_trace_report(expand_trace(F, G, H), "json")
+    return hashlib.sha256(report.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the JSON trace reports.  A refactor that keeps every
+# report byte-identical keeps these; a deliberate format change updates them.
+def test_golden_trace_json_is_byte_stable(golden):
+    assert _json_digest(*golden) == "40e095409ae6a70e"
+
+
+@pytest.mark.parametrize(
+    "text, max_jet_order, digests",
+    [
+        (
+            "indep x\nfield q even antifield p\n",
+            2,
+            ["3aede42698103be7", "dc5a23698ed674b0", "e17c4bfe72ebfaad", "0b882cdf16d73a3b"],
+        ),
+        (
+            "indep x\nfield u even antifield v\nfield a odd antifield b\n",
+            1,
+            ["beb585da8d82c979", "9dd236d161f7f846", "991f294ccf38c40e", "0551ba235b328c57"],
+        ),
+        (
+            "indep x y\nfield q even antifield p\n",
+            1,
+            ["ee9ca9cd85af51bb", "1073926f7ad5667b", "4b19b60653b03a56", "80590e6a600723a8"],
+        ),
+        (
+            "indep t\nfield psi odd antifield chi\n",
+            1,
+            ["52f60e2fe815d38f", "16153274f8d0306a", "c2f33a78c4dbfb70", "4015cc3d6ebd8449"],
+        ),
+    ],
+    ids=["default", "pairs", "plane", "odd"],
+)
+def test_fuzzed_trace_json_is_byte_stable(text, max_jet_order, digests):
+    ctx = parse_context(text)
+    params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
+    got = []
+    for index in range(len(digests)):
+        rng = random.Random(trial_seed(2026, index))
+        got.append(_json_digest(*(random_functional(ctx, rng, params, r) for r in "FGH")))
+    assert got == digests

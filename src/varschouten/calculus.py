@@ -8,7 +8,6 @@ and the exactness test characterizing total divergences.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Union
 
 from .core import (
@@ -102,7 +101,7 @@ def _func_chain(ctx, kind, aid, direction) -> Expression:
     got = ctx._func_chain.get((kind, aid, direction))
     if got is None:
         dkind, sgn = FUNC_DERIVATIVE[kind]
-        head = Expression(ctx, {((), ((dkind, aid, 1),), ()): Fraction(sgn)})
+        head = Expression(ctx, {((), ((dkind, aid, 1),), ()): sgn})
         got = head * total_derivative(ctx.arg(aid), direction)
         ctx._func_chain[(kind, aid, direction)] = got
     return got

@@ -4,9 +4,10 @@ A density is a finite sum of monomials
 
     coeff * (even jets with powers) * (exp/sin/cos factors) * (odd jets)
 
-with exact rational coefficients.  Odd jet variables anticommute and square
-to zero; every transposition sign is absorbed into the coefficient, so each
-abstract element has a unique canonical form.  exp/sin/cos factors are kept
+with exact rational coefficients, stored as an int while integral and as a
+Fraction otherwise.  Odd jet variables anticommute and square to zero; every
+transposition sign is absorbed into the coefficient, so each abstract element
+has a unique canonical form.  exp/sin/cos factors are kept
 structurally -- no functional identities are ever applied -- and their
 arguments (always parity-even) are interned per context so that equal
 arguments share one id and powers of equal factors merge.
@@ -30,7 +31,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 FUNC_DERIVATIVE = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1)}
 
 #: value of each function kind at argument 0 (used by eval_zero_section)
-FUNC_AT_ZERO = {"exp": Fraction(1), "sin": Fraction(0), "cos": Fraction(1)}
+FUNC_AT_ZERO = {"exp": 1, "sin": 0, "cos": 1}
 
 
 class JetVar(NamedTuple):
@@ -51,7 +52,7 @@ class FieldContext:
     Owners are numbered in declaration order, each field immediately followed
     by its antifield; the antifield parity is the field parity flipped.  The
     context also owns the hash-cons table for function-factor arguments and
-    the caches of their derivatives.
+    the caches of their derivatives and of their plain text.
     """
 
     def __init__(
@@ -96,6 +97,8 @@ class FieldContext:
         self._arg_partials: dict[tuple[int, int, str], dict] = {}
         # (kind, arg_id, direction) -> f'(arg) * D_direction(arg)
         self._func_chain: dict[tuple[str, int, int], "Expression"] = {}
+        # arg_id -> plain text of the argument, filled by textio
+        self._arg_plain: dict[int, str] = {}
 
     def _add_owner(self, name: str, parity: int) -> int:
         idx = len(self.names)
@@ -268,17 +271,27 @@ def _mul_keys(ctx, k1, k2):
     return (_merge_even(k1[0], k2[0]), _merge_funcs(ctx, k1[1], k2[1]), odd), sign
 
 
+def _demote(c: Rat) -> Rat:
+    """c as an int when it is integral, so that coefficients stay ints."""
+    if type(c) is not int and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 def _add_term(out: dict, key, c) -> None:
     """Accumulate c into out[key], dropping the key when the sum vanishes."""
     s = out.get(key, 0) + c
     if s:
-        out[key] = s
+        out[key] = _demote(s)
     else:
         del out[key]
 
 
 class Expression:
-    """A density in canonical form: dict of term keys to rational coefficients."""
+    """A density in canonical form: dict of term keys to rational coefficients.
+
+    A coefficient is an int when it is integral and a Fraction otherwise.
+    """
 
     __slots__ = ("ctx", "terms")
     __hash__ = None
@@ -295,7 +308,7 @@ class Expression:
 
     @staticmethod
     def const(ctx: FieldContext, value: Rat) -> "Expression":
-        value = Fraction(value)
+        value = _demote(Fraction(value))
         if not value:
             return Expression(ctx)
         return Expression(ctx, {_EMPTY_KEY: value})
@@ -346,10 +359,10 @@ class Expression:
         return Expression(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def scale(self, factor: Rat) -> "Expression":
-        factor = Fraction(factor)
+        factor = _demote(Fraction(factor))
         if not factor:
             return Expression(self.ctx)
-        return Expression(self.ctx, {k: c * factor for k, c in self.terms.items()})
+        return Expression(self.ctx, {k: _demote(c * factor) for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -361,7 +374,8 @@ class Expression:
             for k2, c2 in other.terms.items():
                 prod = _mul_keys(ctx, k1, k2)
                 if prod is not None:
-                    _add_term(out, prod[0], c1 * c2 * prod[1])
+                    c = c1 * c2
+                    _add_term(out, prod[0], c if prod[1] > 0 else -c)
         return Expression(ctx, out)
 
     def __rmul__(self, other):
@@ -451,14 +465,14 @@ def jet(ctx: FieldContext, ref: Union[int, str], order=0) -> Expression:
         key = ((), (), (v,))
     else:
         key = (((v, 1),), (), ())
-    return Expression(ctx, {key: Fraction(1)})
+    return Expression(ctx, {key: 1})
 
 
 def _func(kind: str, arg: Expression) -> Expression:
     if arg.parity != 0:
         raise ValueError(f"{kind} argument must be parity-even")
     aid = arg.ctx.intern_arg(arg)
-    return Expression(arg.ctx, {((), ((kind, aid, 1),), ()): Fraction(1)})
+    return Expression(arg.ctx, {((), ((kind, aid, 1),), ()): 1})
 
 
 def exp(arg: Expression) -> Expression:
@@ -473,7 +487,7 @@ def cos(arg: Expression) -> Expression:
     return _func("cos", arg)
 
 
-def eval_zero_section(e: Expression) -> Fraction:
+def eval_zero_section(e: Expression) -> Rat:
     """Value of the density with every jet variable set to zero.
 
     Any jet factor kills its monomial; function factors evaluate through
@@ -481,7 +495,7 @@ def eval_zero_section(e: Expression) -> Fraction:
     A function factor surviving at a nonzero rational argument has no exact
     rational value and raises ValueError.
     """
-    total = Fraction(0)
+    total = 0
     for (even, funcs, odd), coeff in e.terms.items():
         if even or odd:
             continue

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .calculus import is_exact
 from .core import Expression, FieldContext, Rat
@@ -55,4 +54,4 @@ def scale_add(c1: Rat, F: Functional, c2: Rat, G: Functional) -> Functional:
     """The functional with density c1*F.density + c2*G.density."""
     if F.ctx is not G.ctx:
         raise ValueError("functionals belong to different field contexts")
-    return Functional(F.density.scale(Fraction(c1)) + G.density.scale(Fraction(c2)))
+    return Functional(F.density.scale(c1) + G.density.scale(c2))

@@ -12,7 +12,8 @@ The plain density syntax round-trips exactly with the canonical form:
 
 Multiplication is always written with '*'; a jet multi-index has one entry
 per independent coordinate (so q[2] is the second x-derivative on a line).
-Parentheses and function calls nest at most MAX_NESTING levels deep.
+Parentheses and function calls nest at most MAX_NESTING levels deep, and a
+factor's exponent is at most MAX_EXPONENT (a chain a^m^n has exponent m*n).
 Context files are line-based: one `indep` line naming the independent
 coordinates, then one `field NAME even|odd antifield NAME` line per
 conjugate pair; `#` starts a comment.
@@ -40,6 +41,10 @@ _FUNC_BUILDERS = {"exp": exp, "sin": sin, "cos": cos}
 #: deepest nesting of '(' and function calls the parser accepts; the parser
 #: recurses once per level, so this keeps it far from the interpreter's limit
 MAX_NESTING = 100
+
+#: largest exponent of one factor; Expression.__pow__ multiplies once per unit
+#: of exponent, so this keeps `q^99999999999` from running without end
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -143,14 +148,17 @@ class _Parser:
 
     def parse_factor(self) -> Expression:
         e = self.parse_atom()
+        power = 1
         while self.peek().kind == "^":
             self.advance()
             tok = self.expect("number", "a positive integer exponent")
-            power = int(tok.text)
-            if power < 1:
+            step = int(tok.text)
+            if step < 1:
                 raise ParseError("exponent must be a positive integer", tok.line, tok.col)
-            e = e**power
-        return e
+            power *= step
+            if power > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", tok.line, tok.col)
+        return e if power == 1 else e**power
 
     def parse_atom(self) -> Expression:
         tok = self.advance()
@@ -281,7 +289,10 @@ def _plain_factors(ctx: FieldContext, key) -> list[str]:
         text = _jet_name(ctx, v)
         parts.append(text if power == 1 else f"{text}^{power}")
     for kind, aid, power in funcs:
-        text = f"{kind}({_plain(ctx.arg(aid))})"
+        arg = ctx._arg_plain.get(aid)
+        if arg is None:
+            arg = ctx._arg_plain[aid] = _plain(ctx.arg(aid))
+        text = f"{kind}({arg})"
         parts.append(text if power == 1 else f"{text}^{power}")
     parts.extend(_jet_name(ctx, v) for v in odd)
     return parts

@@ -251,3 +251,35 @@ class TestIsExact:
 
     def test_surviving_function_constant_is_not_exact(self, ctx):
         assert not is_exact(exp(Expression.const(ctx, 1)))
+
+
+def _integral_fractions(exprs):
+    """Coefficients stored as a Fraction although they are integral."""
+    return [c for e in exprs for c in e.terms.values() if type(c) is not int and c.denominator == 1]
+
+
+class TestCoefficients:
+    @CONTEXTS
+    def test_integral_coefficients_are_stored_as_int(self, text, max_jet_order, extra):
+        ctx, pairs = _product_pairs(text, max_jet_order, extra)
+        results = []
+        for a, b in pairs:
+            ab = a * b
+            results += [ab, a + b, a - b, a.scale(Fraction(3, 2)), a.scale(Fraction(1, 3)).scale(3)]
+            results += [total_derivative(ab, d) for d in range(ctx.n_indep)]
+            for owner in range(len(ctx.names)):
+                for side in ("left", "right"):
+                    results.append(euler(ab, owner, side))
+                    results += [partial(ab, JetVar(owner, s), side) for s in jet_orders(ab, owner)]
+        # the sample must exercise both kinds of coefficient
+        assert any(type(c) is int for e in results for c in e.terms.values())
+        assert any(type(c) is Fraction for e in results for c in e.terms.values())
+        assert _integral_fractions(results + ctx._args) == []
+
+    def test_constructors_store_integral_values_as_int(self, ctx):
+        (two,) = Expression.const(ctx, Fraction(4, 2)).terms.values()
+        assert type(two) is int and two == 2
+        q = jet(ctx, "q")
+        assert _integral_fractions([q, exp(q), q.scale(Fraction(6, 3))]) == []
+        (half,) = parse_density("3/6*q", ctx).terms.values()
+        assert type(half) is Fraction and half == Fraction(1, 2)

@@ -9,7 +9,7 @@ import pytest
 from varschouten import is_exact, parse_density
 from varschouten.cli import main
 from varschouten.fuzz import FuzzParams
-from varschouten.textio import MAX_NESTING
+from varschouten.textio import MAX_EXPONENT, MAX_NESTING
 
 GOLDEN_F = "p * q * q[2]"
 GOLDEN_G = "p[1] * exp(q[1])"
@@ -241,6 +241,33 @@ class TestErrorHandling:
         density = opening * MAX_NESTING + "q" + ")" * MAX_NESTING
         code, out, err = run(["normalize", "--density", density], capsys)
         want = "q" if opening == "(" else density
+        assert (code, out, err) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize(
+        "density, column",
+        [
+            ("q^99999999999", 3),
+            (f"q^{MAX_EXPONENT + 1}", 3),
+            (f"2*q[1]^{MAX_EXPONENT // 10}^11", 12),  # a chain multiplies: 1100
+        ],
+    )
+    def test_exponent_past_the_limit_exits_2(self, capsys, density, column):
+        code, out, err = run(["normalize", "--density", density], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: line 1, column {column}: exponent larger than {MAX_EXPONENT}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "density, want",
+        [
+            (f"q^{MAX_EXPONENT}", f"q^{MAX_EXPONENT}"),
+            (f"q^{MAX_EXPONENT // 10}^10", f"q^{MAX_EXPONENT}"),
+            (f"exp(q)^{MAX_EXPONENT}", f"exp(q)^{MAX_EXPONENT}"),
+        ],
+    )
+    def test_exponent_at_the_limit_parses(self, capsys, density, want):
+        code, out, err = run(["normalize", "--density", density], capsys)
         assert (code, out, err) == (0, want + "\n", "")
 
     def test_no_subcommand_is_usage_error(self, capsys):

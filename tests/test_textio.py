@@ -143,6 +143,25 @@ class TestPlainFormat:
     def test_odd_reordering_normalizes(self, ctx):
         assert format_density(parse_density("q[1]*p + p*q[1]", ctx)) == "2*q[1]*p"
 
+    def test_each_context_renders_its_own_arguments(self):
+        # both contexts intern their function argument as id 0
+        line = parse_context("indep x\nfield q even antifield p\n")
+        pairs = parse_context("indep x\nfield u even antifield v\n")
+        on_line = parse_density("exp(q)*p", line)
+        on_pairs = parse_density("exp(u[1])*v", pairs)
+        for _ in range(2):
+            assert format_density(on_line) == "exp(q)*p"
+            assert format_density(on_pairs) == "exp(u[1])*v"
+
+    def test_argument_text_survives_new_interning(self, ctx):
+        text = "sin(q*exp(q[1]))*exp(q[1])*p - 1/2*cos(q)"
+        e = parse_density(text, ctx)
+        before = format_density(e)
+        parse_density("exp(q[1]^2 + exp(q))*cos(2*q)*sin(q*exp(q[2]))", ctx)
+        fresh_ctx = parse_context("indep x\nfield q even antifield p\n")
+        fresh = format_density(parse_density(text, fresh_ctx))
+        assert format_density(e) == before == fresh
+
 
 class TestLatexFormat:
     def fmt(self, ctx, text):

@@ -151,48 +151,69 @@ def test_context_mismatch_rejected(ctx, golden):
         expand_trace(F, G, alien)
 
 
-def _json_digest(F, G, H) -> str:
-    report = format_trace_report(expand_trace(F, G, H), "json")
+def _digest(style, F, G, H) -> str:
+    report = format_trace_report(expand_trace(F, G, H), style)
     return hashlib.sha256(report.encode()).hexdigest()[:16]
 
 
-# sha256 prefixes of the JSON trace reports.  A refactor that keeps every
-# report byte-identical keeps these; a deliberate format change updates them.
-def test_golden_trace_json_is_byte_stable(golden):
-    assert _json_digest(*golden) == "40e095409ae6a70e"
+def _fuzzed_digests(text, max_jet_order, count, style):
+    ctx = parse_context(text)
+    params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
+    got = []
+    for index in range(count):
+        rng = random.Random(trial_seed(2026, index))
+        got.append(_digest(style, *(random_functional(ctx, rng, params, r) for r in "FGH")))
+    return got
 
 
-@pytest.mark.parametrize(
-    "text, max_jet_order, digests",
+# sha256 prefixes of the JSON and plain trace reports.  A refactor that keeps
+# every report byte-identical keeps these; a deliberate format change updates
+# them.  The fuzzed triples are seed-2026 trials 0-3 of each context.
+_FUZZED = pytest.mark.parametrize(
+    "text, max_jet_order, json_digests, plain_digests",
     [
         (
             "indep x\nfield q even antifield p\n",
             2,
             ["3aede42698103be7", "dc5a23698ed674b0", "e17c4bfe72ebfaad", "0b882cdf16d73a3b"],
+            ["f88ec90a6891cd55", "82eae293f76f9ada", "52c83dbf1d8e5154", "f6f43c32dc104799"],
         ),
         (
             "indep x\nfield u even antifield v\nfield a odd antifield b\n",
             1,
             ["beb585da8d82c979", "9dd236d161f7f846", "991f294ccf38c40e", "0551ba235b328c57"],
+            ["82fa010dccdee11e", "bea76056816b8dd6", "ef955108d1706c4e", "cb0dcc079712acb7"],
         ),
         (
             "indep x y\nfield q even antifield p\n",
             1,
             ["ee9ca9cd85af51bb", "1073926f7ad5667b", "4b19b60653b03a56", "80590e6a600723a8"],
+            ["d0f95808111da771", "ce34c9f49b086bf9", "c81f02767923c06b", "d3950da489ec4df8"],
         ),
         (
             "indep t\nfield psi odd antifield chi\n",
             1,
             ["52f60e2fe815d38f", "16153274f8d0306a", "c2f33a78c4dbfb70", "4015cc3d6ebd8449"],
+            ["1cd30bd59ee3783c", "e5d8e50dd603dd45", "c81f02767923c06b", "b3669f6fb87acdc3"],
         ),
     ],
     ids=["default", "pairs", "plane", "odd"],
 )
-def test_fuzzed_trace_json_is_byte_stable(text, max_jet_order, digests):
-    ctx = parse_context(text)
-    params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
-    got = []
-    for index in range(len(digests)):
-        rng = random.Random(trial_seed(2026, index))
-        got.append(_json_digest(*(random_functional(ctx, rng, params, r) for r in "FGH")))
-    assert got == digests
+
+
+def test_golden_trace_json_is_byte_stable(golden):
+    assert _digest("json", *golden) == "40e095409ae6a70e"
+
+
+def test_golden_trace_plain_is_byte_stable(golden):
+    assert _digest("plain", *golden) == "1e2a2add53ff72d6"
+
+
+@_FUZZED
+def test_fuzzed_trace_json_is_byte_stable(text, max_jet_order, json_digests, plain_digests):
+    assert _fuzzed_digests(text, max_jet_order, len(json_digests), "json") == json_digests
+
+
+@_FUZZED
+def test_fuzzed_trace_plain_is_byte_stable(text, max_jet_order, json_digests, plain_digests):
+    assert _fuzzed_digests(text, max_jet_order, len(plain_digests), "plain") == plain_digests

@@ -35,11 +35,11 @@ def _lower_power(units: tuple, i: int) -> tuple:
 def _partials(e: Expression, owner: int, side: Side) -> dict:
     """Every directed partial of e along the jets of one owner, in one sweep.
 
-    Returns {sigma: d e / d(owner jet sigma)} over the nonzero partials.  Each
-    monomial key is edited directly: an even jet has its power lowered, an
-    odd jet is struck with (-1)^(odd jets crossed on the way to the `side`
-    end), and a function factor f(arg) becomes f'(arg) times the (cached)
-    sweep of its argument, placed in front of the rest of the monomial.
+    Returns {v: d e / dv} over the nonzero partials, the struck JetVar v
+    ascending.  Each monomial key is edited directly: an even jet has its
+    power lowered, an odd jet is struck with (-1)^(odd jets crossed on the way
+    to the `side` end), and a function factor f(arg) becomes f'(arg) times the
+    (cached) sweep of its argument, placed in front of the rest of the monomial.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -51,14 +51,14 @@ def _partials(e: Expression, owner: int, side: Side) -> dict:
             for i, (jv, p) in enumerate(even):
                 if jv.owner == owner:
                     key = (_lower_power(even, i), funcs, odd)
-                    _add_term(outs.setdefault(jv.order, {}), key, coeff * p)
+                    _add_term(outs.setdefault(jv, {}), key, coeff * p)
         else:
             for i, jv in enumerate(odd):
                 if jv.owner == owner:
                     crossed = i if side == "left" else len(odd) - i - 1
                     key = (even, funcs, odd[:i] + odd[i + 1 :])
                     c = -coeff if crossed % 2 else coeff
-                    _add_term(outs.setdefault(jv.order, {}), key, c)
+                    _add_term(outs.setdefault(jv, {}), key, c)
         for i, (kind, aid, p) in enumerate(funcs):
             d_arg = ctx._arg_partials.get((aid, owner, side))
             if d_arg is None:
@@ -72,13 +72,13 @@ def _partials(e: Expression, owner: int, side: Side) -> dict:
             c = coeff * p * sgn
             if odd_owner and side == "right" and len(odd) % 2:
                 c = -c  # the odd d(arg) crosses every odd jet on its way right
-            for sigma, d in d_arg.items():
-                out = outs.setdefault(sigma, {})
+            for v, d in d_arg.items():
+                out = outs.setdefault(v, {})
                 for k2, c2 in d.terms.items():
                     prod = _mul_keys(ctx, k2, base)
                     if prod is not None:
                         _add_term(out, prod[0], c * c2 * prod[1])
-    return {sigma: Expression(ctx, out) for sigma, out in outs.items() if out}
+    return {v: Expression(ctx, outs[v]) for v in sorted(outs) if outs[v]}
 
 
 def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
@@ -89,7 +89,7 @@ def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
     struck.  Even v uses the ordinary power rule.  Function factors
     differentiate by the chain rule through their arguments.
     """
-    return _partials(e, v.owner, side).get(v.order) or Expression.zero(e.ctx)
+    return _partials(e, v.owner, side).get(v) or Expression.zero(e.ctx)
 
 
 def _bump(order, direction):
@@ -160,14 +160,13 @@ def euler_blocks(
     Returns (sigma, block) pairs with nonzero blocks, sigma ascending in
     graded-lexicographic order.  Their sum is euler(e, ref, side).
     """
-    pmap = _partials(e, e.ctx.owner(ref), side)
     blocks = []
-    for sigma in sorted(pmap, key=lambda s: (sum(s), s)):
-        block = iterated_derivative(pmap[sigma], sigma)
-        if sum(sigma) % 2:
+    for v, d in _partials(e, e.ctx.owner(ref), side).items():
+        block = iterated_derivative(d, v.order)
+        if v.degree % 2:
             block = -block
         if not block.is_zero():
-            blocks.append((sigma, block))
+            blocks.append((v.order, block))
     return blocks
 
 
@@ -202,7 +201,7 @@ def euler(e: Expression, ref: Union[int, str], side: Side = "left") -> Expressio
     derivatives via a nested alternating fold.
     """
     ctx = e.ctx
-    pmap = _partials(e, ctx.owner(ref), side)
+    pmap = {v.order: d for v, d in _partials(e, ctx.owner(ref), side).items()}
     if not pmap:
         return Expression.zero(ctx)
     return _alternating_total(ctx, pmap, 0)

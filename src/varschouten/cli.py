@@ -19,7 +19,6 @@ from .functional import Functional
 from .fuzz import FuzzParams, run_fuzz
 from .schouten import jacobi_defect, schouten_bracket
 from .textio import (
-    ParseError,
     _dumps,
     density_to_json,
     format_density,
@@ -210,9 +209,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

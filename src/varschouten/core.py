@@ -34,16 +34,27 @@ FUNC_DERIVATIVE = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1)}
 FUNC_AT_ZERO = {"exp": 1, "sin": 0, "cos": 1}
 
 
-class JetVar(NamedTuple):
-    """One jet coordinate: the `order` multi-index derivative of owner field."""
-
+class _JetFields(NamedTuple):
     owner: int
+    degree: int
     order: Order
 
 
-def jet_key(v: JetVar) -> tuple:
-    """Canonical order of jet variables: owner, then graded-lex multi-index."""
-    return (v.owner, sum(v.order), v.order)
+class JetVar(_JetFields):
+    """One jet coordinate: the `order` multi-index derivative of owner field.
+
+    Built as JetVar(owner, order); `degree` is sum(order), stored between the
+    two so that plain tuple comparison is the canonical order of jet
+    variables: owner, then graded-lex multi-index.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, owner: int, order: Order) -> "JetVar":
+        return tuple.__new__(cls, (owner, sum(order), order))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.owner, self.order)
 
 
 class FieldContext:
@@ -91,9 +102,8 @@ class FieldContext:
         self._args: list[Expression] = []
         self._arg_keys: list[tuple] = []
         self._arg_index: dict[tuple, int] = {}
-        self._arg_owner_orders: dict[tuple[int, int], frozenset] = {}
         # derivative caches of interned arguments, filled by the calculus:
-        # (arg_id, owner, side) -> {sigma: directed partial of the argument}
+        # (arg_id, owner, side) -> {struck JetVar: directed partial of the argument}
         self._arg_partials: dict[tuple[int, int, str], dict] = {}
         # (kind, arg_id, direction) -> f'(arg) * D_direction(arg)
         self._func_chain: dict[tuple[str, int, int], "Expression"] = {}
@@ -159,14 +169,6 @@ class FieldContext:
     def arg_key(self, arg_id: int) -> tuple:
         return self._arg_keys[arg_id]
 
-    def arg_owner_orders(self, arg_id: int, owner: int) -> frozenset:
-        """All multi-indices with which `owner` occurs inside an interned arg."""
-        cached = self._arg_owner_orders.get((arg_id, owner))
-        if cached is None:
-            cached = frozenset(_collect_orders(self._args[arg_id], owner))
-            self._arg_owner_orders[(arg_id, owner)] = cached
-        return cached
-
 
 def _check_name(name: str) -> None:
     if not _NAME_RE.match(name):
@@ -179,9 +181,10 @@ def _check_name(name: str) -> None:
 # canonical monomial keys
 #
 # A term key is (even, funcs, odd) where
-#   even:  tuple of (JetVar, power), sorted by jet_key, powers >= 1
+#   even:  tuple of (JetVar, power), sorted by JetVar, powers >= 1
 #   funcs: tuple of (kind, arg_id, power), sorted by (kind, arg structural key)
-#   odd:   tuple of JetVar, strictly increasing by jet_key
+#   odd:   tuple of JetVar, strictly increasing
+# (a JetVar compares as the tuple (owner, degree, order): the canonical order)
 #
 # Keys are only built by merging keys that are already sorted (_mul_keys and
 # the _merge_* helpers); no monomial is ever re-sorted from scratch.
@@ -194,7 +197,7 @@ def _merge_even(a, b):
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        ka, kb = jet_key(a[i][0]), jet_key(b[j][0])
+        ka, kb = a[i][0], b[j][0]
         if ka == kb:
             out.append((a[i][0], a[i][1] + b[j][1]))
             i += 1
@@ -245,7 +248,7 @@ def _merge_odd(a, b):
     sign = 1
     i = j = 0
     while i < len(a) and j < len(b):
-        ka, kb = jet_key(a[i]), jet_key(b[j])
+        ka, kb = a[i], b[j]
         if ka == kb:
             return None
         if ka < kb:
@@ -332,9 +335,9 @@ class Expression:
         best = 0
         for even, funcs, odd in self.terms:
             for v, _ in even:
-                best = max(best, sum(v.order))
+                best = max(best, v.degree)
             for v in odd:
-                best = max(best, sum(v.order))
+                best = max(best, v.degree)
             for _, aid, _ in funcs:
                 best = max(best, self.ctx.arg(aid).max_jet_order())
         return best
@@ -423,11 +426,7 @@ class Expression:
 
         def okey(item):
             even, funcs, odd = item
-            return (
-                tuple((v.owner, sum(v.order), v.order, p) for v, p in even),
-                tuple((kind, ctx.arg_key(aid), p) for kind, aid, p in funcs),
-                tuple(jet_key(v) for v in odd),
-            )
+            return (even, tuple((kind, ctx.arg_key(aid), p) for kind, aid, p in funcs), odd)
 
         return sorted(self.terms, key=okey)
 
@@ -525,7 +524,7 @@ def _collect_orders(e: Expression, owner: int) -> set:
             if v.owner == owner:
                 found.add(v.order)
         for _, aid, _ in funcs:
-            found |= e.ctx.arg_owner_orders(aid, owner)
+            found |= _collect_orders(e.ctx.arg(aid), owner)
     return found
 
 

@@ -13,7 +13,9 @@ The plain density syntax round-trips exactly with the canonical form:
 Multiplication is always written with '*'; a jet multi-index has one entry
 per independent coordinate (so q[2] is the second x-derivative on a line).
 Parentheses and function calls nest at most MAX_NESTING levels deep, and a
-factor's exponent is at most MAX_EXPONENT (a chain a^m^n has exponent m*n).
+factor's exponent is at most MAX_EXPONENT, where a chain a^m^n and a power of
+a group (a^m)^n both count as m*n.  Factors print in key order, jets in
+JetVar order (field, total order, multi-index): q[1,0]*q[0,2].
 Context files are line-based: one `indep` line naming the independent
 coordinates, then one `field NAME even|odd antifield NAME` line per
 conjugate pair; `#` starts a comment.
@@ -43,7 +45,8 @@ _FUNC_BUILDERS = {"exp": exp, "sin": sin, "cos": cos}
 MAX_NESTING = 100
 
 #: largest exponent of one factor; Expression.__pow__ multiplies once per unit
-#: of exponent, so this keeps `q^99999999999` from running without end
+#: of exponent, so this keeps `q^99999999999` from running without end; a power
+#: of a group counts its own exponent times the largest exponent inside it
 MAX_EXPONENT = 1000
 
 
@@ -112,6 +115,7 @@ class _Parser:
         self.pos = 0
         self.ctx = ctx
         self.depth = 0
+        self.largest = 1  # largest exponent of a factor parsed in the current group
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -147,8 +151,9 @@ class _Parser:
         return -e if negate else e
 
     def parse_factor(self) -> Expression:
+        outer, self.largest = self.largest, 1
         e = self.parse_atom()
-        power = 1
+        inner, power = self.largest, 1
         while self.peek().kind == "^":
             self.advance()
             tok = self.expect("number", "a positive integer exponent")
@@ -156,8 +161,9 @@ class _Parser:
             if step < 1:
                 raise ParseError("exponent must be a positive integer", tok.line, tok.col)
             power *= step
-            if power > MAX_EXPONENT:
+            if inner * power > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", tok.line, tok.col)
+        self.largest = max(outer, inner * power)
         return e if power == 1 else e**power
 
     def parse_atom(self) -> Expression:
@@ -193,6 +199,7 @@ class _Parser:
     def _atom_name(self, tok: _Token) -> Expression:
         if tok.text in RESERVED_NAMES:
             arg = self._group(self.expect("(", f"'(' after {tok.text}"))
+            self.largest = 1  # a power of the call leaves the argument's powers alone
             try:
                 return _FUNC_BUILDERS[tok.text](arg)
             except ValueError as exc:
@@ -277,7 +284,7 @@ def parse_context(text: str) -> FieldContext:
 
 def _jet_name(ctx: FieldContext, v: JetVar) -> str:
     name = ctx.names[v.owner]
-    if not any(v.order):
+    if not v.degree:
         return name
     return f"{name}[{','.join(str(k) for k in v.order)}]"
 
@@ -321,7 +328,7 @@ def _latex_jet(ctx: FieldContext, v: JetVar) -> str:
         base = ctx.names[ctx.antifield(v.owner)] + "^{\\dagger}"
     else:
         base = ctx.names[v.owner]
-    if any(v.order):
+    if v.degree:
         sub = "".join(ctx.indep[d] * k for d, k in enumerate(v.order))
         base += "_{" + sub + "}"
     return base

@@ -16,6 +16,7 @@ densities, or equality modulo divergences), and a final verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Union
 
 from .calculus import _partials, euler_blocks, is_exact, iterated_derivative
@@ -24,10 +25,6 @@ from .functional import Functional, functional_parity
 from .schouten import _sign, eq1_sign, jacobi_defect, reorder_sign_ledger
 
 ROLES = ("F", "G", "H")
-
-
-def _graded(order) -> tuple:
-    return (sum(order), order)
 
 
 def second_variation_cells(
@@ -47,16 +44,14 @@ def second_variation_cells(
     """
     ctx = e.ctx
     o2 = ctx.owner(w2)
-    firsts = _partials(e, ctx.owner(w1), side1)
     cells = []
-    for sigma in sorted(firsts, key=_graded):
-        kernels = _partials(firsts[sigma], o2, side2)
-        for tau in sorted(kernels, key=_graded):
-            value = iterated_derivative(kernels[tau], tuple(a + b for a, b in zip(sigma, tau)))
-            if (sum(sigma) + sum(tau)) % 2:
+    for v1, first in _partials(e, ctx.owner(w1), side1).items():
+        for v2, kernel in _partials(first, o2, side2).items():
+            value = iterated_derivative(kernel, tuple(map(add, v1.order, v2.order)))
+            if (v1.degree + v2.degree) % 2:
                 value = -value
             if not value.is_zero():
-                cells.append(((sigma, tau), value))
+                cells.append(((v1.order, v2.order), value))
     return cells
 
 

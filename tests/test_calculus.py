@@ -213,11 +213,22 @@ class TestEuler:
                         total = total + block
                     assert total == euler(e, wrt, side)
 
-    def test_blocks_are_graded_ascending_and_nonzero(self, ctx):
-        e = parse_density("q * q[2] + q[1]^2 * q[3]", ctx)
-        blocks = euler_blocks(e, "q", "left")
+    @pytest.mark.parametrize(
+        "text, density, want",
+        [
+            ("indep x\nfield q even antifield p\n", "q * q[2] + q[1]^2 * q[3]",
+             [(0,), (1,), (2,), (3,)]),
+            # graded-lex puts (1,0) before (0,2); plain lex would not
+            ("indep x y\nfield q even antifield p\n", "q * q[0,2] * q[1,0]",
+             [(0, 0), (1, 0), (0, 2)]),
+        ],
+        ids=["default", "plane"],
+    )
+    def test_blocks_are_graded_ascending_and_nonzero(self, text, density, want):
+        ctx = parse_context(text)
+        blocks = euler_blocks(parse_density(density, ctx), "q", "left")
         orders = [sigma for sigma, _ in blocks]
-        assert orders == sorted(orders, key=lambda s: (sum(s), s))
+        assert orders == sorted(orders, key=lambda s: (sum(s), s)) == want
         assert all(not b.is_zero() for _, b in blocks)
 
     def test_annihilates_total_derivatives(self, ctx):

@@ -1,5 +1,7 @@
 """Graded expression arithmetic, contexts, and canonical forms."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -191,3 +193,15 @@ class TestJetHelpers:
         # owner first, then total order, then lexicographic components
         e = jet(ctx, "q", 2) * jet(ctx, "q") * jet(ctx, "q", 1)
         assert format_density(e) == "q*q[1]*q[2]"
+
+    def test_jetvar_order_is_owner_then_graded_lex(self):
+        jets = [JetVar(1, (0, 0)), JetVar(0, (0, 2)), JetVar(0, (1, 0)), JetVar(0, (0, 0))]
+        assert sorted(jets) == [jets[3], jets[2], jets[1], jets[0]]
+
+    def test_jetvar_survives_copy_and_pickle(self):
+        v = JetVar(0, (1,))
+        assert (v.owner, v.order) == (0, (1,))
+        assert v == JetVar(0, (1,)) and hash(v) == hash(JetVar(0, (1,)))
+        for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(clone) is JetVar and clone == v
+            assert (clone.owner, clone.order) == (0, (1,))

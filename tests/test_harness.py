@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import varschouten
 from varschouten import is_exact, parse_density
 from varschouten.cli import main
 from varschouten.fuzz import FuzzParams
@@ -249,6 +251,12 @@ class TestErrorHandling:
             ("q^99999999999", 3),
             (f"q^{MAX_EXPONENT + 1}", 3),
             (f"2*q[1]^{MAX_EXPONENT // 10}^11", 12),  # a chain multiplies: 1100
+            # a power of a group multiplies the largest exponent inside it
+            ("(q^1000)^1000", 10),
+            ("(q^10)^101", 8),
+            ("((2*q)^1000)^100", 14),
+            ("(2^1000)^1000", 10),
+            ("(q^1000*q)^2", 12),
         ],
     )
     def test_exponent_past_the_limit_exits_2(self, capsys, density, column):
@@ -264,6 +272,10 @@ class TestErrorHandling:
             (f"q^{MAX_EXPONENT}", f"q^{MAX_EXPONENT}"),
             (f"q^{MAX_EXPONENT // 10}^10", f"q^{MAX_EXPONENT}"),
             (f"exp(q)^{MAX_EXPONENT}", f"exp(q)^{MAX_EXPONENT}"),
+            ("(q^10)^100", "q^1000"),
+            ("(q^3 + p)^2", "2*q^3*p + q^6"),
+            ("q^1000*(q^2)^500", "q^2000"),  # a product, not a nested power
+            ("exp(q^1000)^2", "exp(q^1000)^2"),  # the argument is not raised
         ],
     )
     def test_exponent_at_the_limit_parses(self, capsys, density, want):
@@ -277,10 +289,13 @@ class TestErrorHandling:
 
 
 def test_module_entry_point():
+    # run from the directory holding the imported package, so that the child
+    # finds the same package when only pytest's `pythonpath` setting has it
     proc = subprocess.run(
         [sys.executable, "-m", "varschouten", "normalize", "--density", "q + q"],
         capture_output=True,
         text=True,
+        cwd=Path(varschouten.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert proc.stdout == "2*q\n"

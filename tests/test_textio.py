@@ -143,6 +143,12 @@ class TestPlainFormat:
     def test_odd_reordering_normalizes(self, ctx):
         assert format_density(parse_density("q[1]*p + p*q[1]", ctx)) == "2*q[1]*p"
 
+    def test_jets_print_in_graded_order_on_the_plane(self):
+        # graded-lex puts q[1,0] before q[0,2]; plain lex would not
+        plane = parse_context("indep x y\nfield q even antifield p\n")
+        assert format_density(parse_density("q[0,2]*q[1,0]", plane)) == "q[1,0]*q[0,2]"
+        assert format_density(parse_density("p[0,2]*p[1,0]", plane)) == "-p[1,0]*p[0,2]"
+
     def test_each_context_renders_its_own_arguments(self):
         # both contexts intern their function argument as id 0
         line = parse_context("indep x\nfield q even antifield p\n")

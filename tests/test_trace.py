@@ -36,6 +36,16 @@ def test_second_variation_cells_empty_when_variable_absent(ctx, golden):
     assert second_variation_cells(no_p2, "p", "left", "q", "left") == []
 
 
+def test_second_variation_cells_are_graded_ascending():
+    plane = parse_context("indep x y\nfield q even antifield p\n")
+    e = parse_density("p * q * q[0,2] * q[1,0]", plane)
+    cells = [cell for cell, _ in second_variation_cells(e, "q", "left", "q", "left")]
+    graded = lambda s: (sum(s), s)
+    assert cells == sorted(cells, key=lambda c: (graded(c[0]), graded(c[1])))
+    # graded-lex puts (1,0) before (0,2); plain lex would not
+    assert [sigma for sigma, _ in cells] == [(0, 0)] * 2 + [(1, 0)] * 2 + [(0, 2)] * 2
+
+
 class TestGoldenTrace:
     @pytest.fixture(autouse=True)
     def _expand(self, ctx, golden):

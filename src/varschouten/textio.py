@@ -14,8 +14,9 @@ Multiplication is always written with '*'; a jet multi-index has one entry
 per independent coordinate (so q[2] is the second x-derivative on a line).
 Parentheses and function calls nest at most MAX_NESTING levels deep, and a
 factor's exponent is at most MAX_EXPONENT, where a chain a^m^n and a power of
-a group (a^m)^n both count as m*n.  Factors print in key order, jets in
-JetVar order (field, total order, multi-index): q[1,0]*q[0,2].
+a group (a^m)^n both count as m*n.  A number has at most MAX_DIGITS digits,
+as a literal and as a printed numerator or denominator.  Factors print in key
+order, jets in JetVar order (field, total order, multi-index): q[1,0]*q[0,2].
 Context files are line-based: one `indep` line naming the independent
 coordinates, then one `field NAME even|odd antifield NAME` line per
 conjugate pair; `#` starts a comment.
@@ -48,6 +49,12 @@ MAX_NESTING = 100
 #: of exponent, so this keeps `q^99999999999` from running without end; a power
 #: of a group counts its own exponent times the largest exponent inside it
 MAX_EXPONENT = 1000
+
+#: most decimal digits in a number literal or a printed coefficient numerator or
+#: denominator; the interpreter's default limit on int <-> str conversion, so
+#: longer numbers get this module's error instead of one about its setting
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
 
 
 class ParseError(ValueError):
@@ -89,6 +96,8 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"number longer than {MAX_DIGITS} digits", line, col)
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i
             i = j
@@ -289,6 +298,14 @@ def _jet_name(ctx: FieldContext, v: JetVar) -> str:
     return f"{name}[{','.join(str(k) for k in v.order)}]"
 
 
+def _coeff_text(c) -> str:
+    """Decimal text of an int or Fraction coefficient, at most MAX_DIGITS digits
+    in its numerator and in its denominator."""
+    if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
+        raise ValueError(f"a coefficient has more than {MAX_DIGITS} digits")
+    return str(c)
+
+
 def _plain_factors(ctx: FieldContext, key) -> list[str]:
     even, funcs, odd = key
     parts = []
@@ -314,7 +331,7 @@ def _plain(e: Expression) -> str:
         factors = _plain_factors(e.ctx, key)
         magnitude = abs(coeff)
         if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
+            factors.insert(0, _coeff_text(magnitude))
         body = "*".join(factors)
         if not chunks:
             chunks.append(body if coeff > 0 else f"-{body}")
@@ -352,12 +369,8 @@ def _latex(e: Expression) -> str:
         parts = []
         magnitude = abs(coeff)
         if magnitude != 1 or (not even and not funcs and not odd):
-            if magnitude.denominator == 1:
-                parts.append(str(magnitude))
-            else:
-                parts.append(
-                    "\\frac{" + str(magnitude.numerator) + "}{" + str(magnitude.denominator) + "}"
-                )
+            num, _, den = _coeff_text(magnitude).partition("/")
+            parts.append("\\frac{" + num + "}{" + den + "}" if den else num)
         for v, power in even:
             parts.append(_latex_power(_latex_jet(e.ctx, v), power))
         for kind, aid, power in funcs:
@@ -399,7 +412,7 @@ def density_to_json(e: Expression) -> dict:
                 func_rows.append([kind, remap[aid], power])
             rows.append(
                 {
-                    "coeff": str(x.terms[key]),
+                    "coeff": _coeff_text(x.terms[key]),
                     "even": [[_jet_name(ctx, v), power] for v, power in even],
                     "funcs": func_rows,
                     "odd": [_jet_name(ctx, v) for v in odd],

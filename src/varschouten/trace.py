@@ -8,14 +8,16 @@ bracket folded into the piece.  Left-side pieces are labeled <1>, <2>, ... in
 display order; a right-side piece that equals a left piece inherits its
 label, while second variations of the first functional (which never appear on
 the left) receive fresh labels and must cancel in opposite-sign pairs between
-the two right-hand brackets.  The report records every match, every
-cancellation pair, the level at which each closed (canonical identity of
-densities, or equality modulo divergences), and a final verdict.
+the two right-hand brackets.  Every pairing is a canonical identity of
+densities between the pieces the role swap predicts; no piece is closed
+modulo divergences.  The report records every match, every cancellation
+pair, and a final verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import add
 from typing import Optional, Union
 
@@ -71,8 +73,8 @@ class TraceTerm:
     density: Expression  # the full signed summand
     label: Optional[int] = None
     status: str = "pending"  # "matched" | "cancelled" | "unresolved" | "pending"
-    level: Optional[str] = None  # "canonical" | "divergence"
-    partner: Optional[tuple] = None  # (section, label) or ("group", label)
+    level: Optional[str] = None  # "canonical" once paired
+    partner: Optional[tuple] = None  # (section, label) of the paired piece
     composite_sign: Optional[int] = None  # reorder-ledger sign (rhs2 only)
 
 
@@ -129,205 +131,179 @@ class _Section:
     X: str  # first argument of the inner bracket
     Y: str  # second argument of the inner bracket
     composite_second: bool  # inner bracket sits as second argument (struck left)
-    global_sign: int
+
+
+SECTIONS = (
+    _Section("lhs", "F", "G", "H", True),
+    _Section("rhs1", "H", "F", "G", False),
+    _Section("rhs2", "G", "F", "H", True),
+)
+
+
+@dataclass(frozen=True)
+class _GroupSpec:
+    """Where one proof-level group's pieces come from, and their common scalar."""
+
+    coords: tuple  # (pair_i, outer_face, pair_j, inner_face, target)
+    struck: tuple  # (role, w1, side1, w2, side2): the second variation's strikes
+    outer: tuple  # (role, owner, side) of the factor outside the inner bracket
+    cofactor: tuple  # (role, owner, side) of the unstruck factor inside it
+    scalar: int  # couplings x transport x global sign, +-1
+
+
+def _group_specs(sect: _Section, ctx, parities: dict):
+    """The section's group specs, in enumeration order.
+
+    The outer bracket couples the outer factor to the inner bracket through
+    conjugate pair i (face f_o picks which of the two is struck on which side);
+    the inner bracket couples X to Y through pair j.  The target is the inner
+    factor the outer coupling's w2 strike lands on; when that strike passes
+    the cofactor it picks up the graded transport sign.
+    """
+    p_side, s2 = ("right", "left") if sect.composite_second else ("left", "right")
+    eq = eq1_sign(parities["F"], parities["G"]) if sect.name == "rhs2" else 1
+    for i, pair in enumerate(ctx.pairs):
+        for f_o in (0, 1):
+            a, b = pair if f_o == 0 else pair[::-1]
+            p_owner, w2 = (a, b) if sect.composite_second else (b, a)
+            for j, pair_j in enumerate(ctx.pairs):
+                for f_i in (0, 1):
+                    x, y = pair_j if f_i == 0 else pair_j[::-1]
+                    inner = ((sect.X, x, "right"), (sect.Y, y, "left"))
+                    for target in (0, 1):
+                        (role, w1, s1), cof = inner[target], inner[1 - target]
+                        scalar = eq * _sign(f_o + f_i)
+                        if (target == 1) == sect.composite_second:
+                            scalar *= _sign(
+                                ctx.parities[w2] * (parities[cof[0]] + ctx.parities[cof[1]])
+                            )
+                        yield _GroupSpec(
+                            (i, f_o, j, f_i, target),
+                            (role, w1, s1, w2, s2),
+                            (sect.P, p_owner, p_side),
+                            cof,
+                            scalar,
+                        )
 
 
 def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     """Expand both sides of the Jacobi identity into labeled pieces and verify.
 
-    Matching is attempted piece-by-piece as canonical equality first; whatever
-    remains is compared group-by-group, canonically and then modulo
-    divergences.  The verdict is "verified" when every piece is accounted
-    for, otherwise "unresolved" with the surviving residue reported.
+    Every right-side piece is paired canonically with the piece its role swap
+    predicts: a left piece it equals, or a right piece it cancels.  The
+    verdict is "verified" when every piece pairs, otherwise "unresolved" with
+    the surviving residue reported.
     """
     if not (F.ctx is G.ctx is H.ctx):
         raise ValueError("functionals belong to different field contexts")
     ctx = F.ctx
     roles = {"F": F, "G": G, "H": H}
     parities = {r: functional_parity(roles[r]) for r in ROLES}
-    eq = eq1_sign(parities["F"], parities["G"])
     ledger = reorder_sign_ledger(parities["F"], parities["G"])
 
-    blocks_cache: dict = {}
+    # module globals looked up at call time, so wrappers of them see every call
+    @cache
+    def blocks(role, owner, side):
+        return euler_blocks(roles[role].density, owner, side)
 
-    def first_variation_blocks(role, owner, side):
-        key = (role, owner, side)
-        if key not in blocks_cache:
-            blocks_cache[key] = euler_blocks(roles[role].density, owner, side)
-        return blocks_cache[key]
-
-    sections = (
-        _Section("lhs", "F", "G", "H", True, 1),
-        _Section("rhs1", "H", "F", "G", False, 1),
-        _Section("rhs2", "G", "F", "H", True, eq),
-    )
+    @cache
+    def cells(role, w1, s1, w2, s2):
+        return second_variation_cells(roles[role].density, w1, s1, w2, s2)
 
     groups: dict[str, list[TraceGroup]] = {}
     pieces: dict[str, list[TraceTerm]] = {}
     group_by_coords: dict[tuple, TraceGroup] = {}
     piece_by_key: dict[tuple, TraceTerm] = {}
 
-    for sect in sections:
-        sec_groups: list[TraceGroup] = []
-        sec_pieces: list[TraceTerm] = []
-        idx = 0
-        for i, (fld_i, anti_i) in enumerate(ctx.pairs):
-            for f_o in (0, 1):
-                if sect.composite_second:
-                    p_owner, w2 = (fld_i, anti_i) if f_o == 0 else (anti_i, fld_i)
-                    p_side, s2 = "right", "left"
-                else:
-                    w2, p_owner = (fld_i, anti_i) if f_o == 0 else (anti_i, fld_i)
-                    p_side, s2 = "left", "right"
-                k_o = 1 if f_o == 0 else -1
-                for j, (fld_j, anti_j) in enumerate(ctx.pairs):
-                    for f_i in (0, 1):
-                        if f_i == 0:
-                            w1x, s1x, w1y, s1y = fld_j, "right", anti_j, "left"
+    for sect in SECTIONS:
+        groups[sect.name] = sec_groups = []
+        pieces[sect.name] = sec_pieces = []
+        for index, spec in enumerate(_group_specs(sect, ctx, parities), 1):
+            struck, cof_role = spec.struck[0], spec.cofactor[0]
+            _, f_o, _, f_i, target = spec.coords
+            role = "cancel" if sect.name != "lhs" and struck == "F" else "match"
+            raw_index = composite_sign = None
+            if sect.name == "rhs2":
+                raw_index = 4 * f_o + 2 * f_i + target + 1
+                composite_sign = ledger[raw_index]
+            group_pieces = []
+            for sig_p, val_p in blocks(*spec.outer):
+                for sig_c, val_c in blocks(*spec.cofactor):
+                    for cell, val_cell in cells(*spec.struck):
+                        first, second = (val_cell, val_c) if target == 0 else (val_c, val_cell)
+                        if sect.composite_second:
+                            dens = val_p * first * second
                         else:
-                            w1x, s1x, w1y, s1y = anti_j, "right", fld_j, "left"
-                        k_i = 1 if f_i == 0 else -1
-                        for target in (0, 1):
-                            idx += 1
-                            if target == 0:
-                                struck, w1, s1 = sect.X, w1x, s1x
-                                cof_role, cof_owner, cof_side = sect.Y, w1y, s1y
-                            else:
-                                struck, w1, s1 = sect.Y, w1y, s1y
-                                cof_role, cof_owner, cof_side = sect.X, w1x, s1x
-                            if sect.composite_second:
-                                transport = (
-                                    1
-                                    if target == 0
-                                    else _sign(
-                                        ctx.parities[w2]
-                                        * (parities[sect.X] + ctx.parities[w1x])
-                                    )
-                                )
-                            else:
-                                transport = (
-                                    1
-                                    if target == 1
-                                    else _sign(
-                                        ctx.parities[w2]
-                                        * (parities[sect.Y] + ctx.parities[w1y])
-                                    )
-                                )
-                            scalar = k_o * k_i * transport * sect.global_sign
-                            coords = (i, f_o, j, f_i, target)
-                            role = (
-                                "cancel"
-                                if sect.name != "lhs" and struck == "F"
-                                else "match"
-                            )
-                            group_pieces: list[TraceTerm] = []
-                            cells = second_variation_cells(
-                                roles[struck].density, w1, s1, w2, s2
-                            )
-                            for sig_p, val_p in first_variation_blocks(
-                                sect.P, p_owner, p_side
-                            ):
-                                for sig_c, val_c in first_variation_blocks(
-                                    cof_role, cof_owner, cof_side
-                                ):
-                                    for cell, val_cell in cells:
-                                        if target == 0:
-                                            inner1, inner2 = val_cell, val_c
-                                        else:
-                                            inner1, inner2 = val_c, val_cell
-                                        if sect.composite_second:
-                                            dens = val_p * inner1 * inner2
-                                        else:
-                                            dens = inner1 * inner2 * val_p
-                                        dens = dens.scale(scalar)
-                                        if dens.is_zero():
-                                            continue
-                                        piece = TraceTerm(
-                                            section=sect.name,
-                                            position=len(sec_pieces) + 1,
-                                            group=idx,
-                                            coords=coords,
-                                            struck=struck,
-                                            role=role,
-                                            sign=scalar,
-                                            cell=cell,
-                                            blocks={
-                                                sect.P: sig_p,
-                                                cof_role: sig_c,
-                                                struck: None,
-                                            },
-                                            density=dens,
-                                        )
-                                        sec_pieces.append(piece)
-                                        group_pieces.append(piece)
-                                        piece_by_key[_piece_key(piece)] = piece
-                            group = TraceGroup(
-                                section=sect.name,
-                                index=idx,
-                                coords=coords,
-                                struck=struck,
-                                role=role,
-                                sign=scalar,
-                                density=_total(group_pieces, ctx),
-                                pieces=group_pieces,
-                            )
-                            sec_groups.append(group)
-                            group_by_coords[(sect.name,) + coords] = group
-        groups[sect.name] = sec_groups
-        pieces[sect.name] = sec_pieces
+                            dens = first * second * val_p
+                        dens = dens.scale(spec.scalar)
+                        if dens.is_zero():
+                            continue
+                        piece = TraceTerm(
+                            section=sect.name,
+                            position=len(sec_pieces) + 1,
+                            group=index,
+                            coords=spec.coords,
+                            struck=struck,
+                            role=role,
+                            sign=spec.scalar,
+                            cell=cell,
+                            blocks={sect.P: sig_p, cof_role: sig_c, struck: None},
+                            density=dens,
+                            composite_sign=composite_sign,
+                        )
+                        sec_pieces.append(piece)
+                        group_pieces.append(piece)
+                        piece_by_key[_piece_key(piece)] = piece
+            group = TraceGroup(
+                section=sect.name,
+                index=index,
+                coords=spec.coords,
+                struck=struck,
+                role=role,
+                sign=spec.scalar,
+                density=_total(group_pieces, ctx),
+                pieces=group_pieces,
+                raw_index=raw_index,
+                composite_sign=composite_sign,
+            )
+            sec_groups.append(group)
+            group_by_coords[(sect.name,) + spec.coords] = group
 
-    _assign_group_labels(groups, group_by_coords, ledger, ctx)
+    _assign_group_labels(groups, group_by_coords)
 
     # ---- piece labels, matching, cancellation --------------------------------
 
-    counter = 1
-    for piece in pieces["lhs"]:
-        piece.label = counter
-        counter += 1
-
+    for label, piece in enumerate(pieces["lhs"], 1):
+        piece.label = label
+    counter = len(pieces["lhs"]) + 1
     matches: list[tuple] = []
     cancellation_pairs: list[tuple] = []
 
-    for piece in pieces["rhs1"]:
-        if piece.role == "cancel":
+    for piece in pieces["rhs1"] + pieces["rhs2"]:
+        if piece.section == "rhs1" and piece.role == "cancel":
             piece.label = counter
             counter += 1
-        else:
-            partner = _find_partner(piece, piece_by_key)
-            if partner is not None:
-                _bind_match(partner, piece, matches)
-
-    for piece in pieces["rhs2"]:
+            continue
         partner = _find_partner(piece, piece_by_key)
         if partner is None:
             continue
+        piece.label = partner.label
+        piece.status = partner.status = "matched" if piece.role == "match" else "cancelled"
+        piece.level = partner.level = "canonical"
+        piece.partner = (partner.section, partner.label)
+        partner.partner = (piece.section, piece.label)
         if piece.role == "match":
-            _bind_match(partner, piece, matches)
+            matches.append((partner.label, piece.section, "canonical"))
         else:
-            piece.label = partner.label
-            piece.status = partner.status = "cancelled"
-            piece.level = partner.level = "canonical"
-            piece.partner = ("rhs1", partner.label)
-            partner.partner = ("rhs2", piece.label)
             cancellation_pairs.append((partner.label, piece.label))
 
-    # fresh labels for anything that could not be paired piece-by-piece
-    for name in ("rhs1", "rhs2"):
-        for piece in pieces[name]:
+    # whatever the prediction left unpaired is unresolved, with a fresh label
+    for piece in pieces["lhs"] + pieces["rhs1"] + pieces["rhs2"]:
+        if piece.status == "pending":
+            piece.status = "unresolved"
             if piece.label is None:
                 piece.label = counter
                 counter += 1
-
-    _close_groups_modulo_divergence(groups, group_by_coords, matches, cancellation_pairs)
-
-    for sec in pieces.values():
-        for piece in sec:
-            if piece.status == "pending":
-                piece.status = "unresolved"
-
-    for group in groups["rhs2"]:
-        for piece in group.pieces:
-            piece.composite_sign = group.composite_sign
 
     unresolved = any(
         piece.status == "unresolved" for sec in pieces.values() for piece in sec
@@ -340,7 +316,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     report = TraceReport(
         labels=(F.label or "F", G.label or "G", H.label or "H"),
         parities=parities,
-        eq_sign=eq,
+        eq_sign=eq1_sign(parities["F"], parities["G"]),
         lhs_terms=pieces["lhs"],
         rhs1_terms=pieces["rhs1"],
         rhs2_terms=pieces["rhs2"],
@@ -389,8 +365,8 @@ def _find_partner(piece, piece_by_key):
     """The pending piece predicted to match (or cancel) this right-side piece.
 
     The partner sits at the swapped coordinates with the unstruck blocks
-    carried over and the cell transposed.  Pieces the prediction misses stay
-    pending and are closed per group by _close_groups_modulo_divergence.
+    carried over and the cell transposed.  A piece the prediction misses, or
+    whose predicted partner differs, stays pending and ends unresolved.
     """
     sigma, tau = piece.cell
     blocks = tuple(piece.blocks.get(r) for r in ROLES)
@@ -403,78 +379,16 @@ def _find_partner(piece, piece_by_key):
     return cand if (cand.density + piece.density).is_zero() else None
 
 
-def _bind_match(lhs_piece, rhs_piece, matches):
-    rhs_piece.label = lhs_piece.label
-    lhs_piece.status = rhs_piece.status = "matched"
-    lhs_piece.level = rhs_piece.level = "canonical"
-    lhs_piece.partner = (rhs_piece.section, rhs_piece.label)
-    rhs_piece.partner = ("lhs", lhs_piece.label)
-    matches.append((lhs_piece.label, rhs_piece.section, "canonical"))
-
-
-def _assign_group_labels(groups, group_by_coords, ledger, ctx):
+def _assign_group_labels(groups, group_by_coords):
     for g in groups["lhs"]:
         g.label = g.index
     cancel_label = len(groups["lhs"]) + 1
-    for g in groups["rhs1"]:
-        if g.role == "match":
-            g.label = _partner_group(g, group_by_coords).label
-        else:
+    for g in groups["rhs1"] + groups["rhs2"]:
+        if g.role == "cancel" and g.section == "rhs1":
             g.label = cancel_label
             cancel_label += 1
-    for g in groups["rhs2"]:
-        _, f_o, _, f_i, target = g.coords
-        g.raw_index = 4 * f_o + 2 * f_i + target + 1
-        g.composite_sign = ledger[g.raw_index]
-        g.label = _partner_group(g, group_by_coords).label
-
-
-def _partner_group(group, group_by_coords):
-    return group_by_coords[_partner_coords(group.section, group.struck, group.coords)]
-
-
-def _close_groups_modulo_divergence(groups, group_by_coords, matches, cancellation_pairs):
-    """Second stage: compare what piece-level pairing left over, per group."""
-    for g in groups["lhs"]:
-        _settle(g, _partner_group(g, group_by_coords), matches, None)
-    for g in groups["rhs1"]:
-        if g.role == "cancel":
-            _settle(g, _partner_group(g, group_by_coords), None, cancellation_pairs)
-
-
-def _settle(group, partner, matches, cancellation_pairs):
-    mine = [p for p in group.pieces if p.status == "pending"]
-    theirs = [p for p in partner.pieces if p.status == "pending"]
-    if not mine and not theirs:
-        return
-    ctx = group.density.ctx
-    mine_sum = _total(mine, ctx)
-    theirs_sum = _total(theirs, ctx)
-    if cancellation_pairs is None:
-        diff = mine_sum - theirs_sum
-        outcome = "matched"
-    else:
-        diff = mine_sum + theirs_sum
-        outcome = "cancelled"
-    if diff.is_zero():
-        level = "canonical"
-    elif is_exact(diff):
-        level = "divergence"
-    else:
-        return
-    for piece in mine:
-        piece.status = outcome
-        piece.level = level
-        piece.partner = ("group", partner.label)
-    for piece in theirs:
-        piece.status = outcome
-        piece.level = level
-        piece.partner = ("group", group.label)
-    if cancellation_pairs is None:
-        if mine or theirs:
-            matches.append((group.label, partner.section, level))
-    else:
-        cancellation_pairs.append((group.label, partner.label))
+        else:
+            g.label = group_by_coords[_partner_coords(g.section, g.struck, g.coords)].label
 
 
 def _total(items, ctx) -> Expression:

@@ -11,7 +11,7 @@ import varschouten
 from varschouten import is_exact, parse_density
 from varschouten.cli import main
 from varschouten.fuzz import FuzzParams
-from varschouten.textio import MAX_EXPONENT, MAX_NESTING
+from varschouten.textio import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
 
 GOLDEN_F = "p * q * q[2]"
 GOLDEN_G = "p[1] * exp(q[1])"
@@ -281,6 +281,26 @@ class TestErrorHandling:
     def test_exponent_at_the_limit_parses(self, capsys, density, want):
         code, out, err = run(["normalize", "--density", density], capsys)
         assert (code, out, err) == (0, want + "\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalize", "--density", "7" * 5000],
+            ["normalize", "--density", "99999999999^1000"],
+            ["bracket", "--F", "9" * 3000 + "*p*q*q", "--G", "9" * 3000 + "*p*q"],
+        ],
+        ids=["literal", "power", "product"],
+    )
+    def test_number_past_the_digit_limit_exits_2(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{MAX_DIGITS} digits" in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_number_at_the_digit_limit_parses(self, capsys):
+        literal = "9" * MAX_DIGITS
+        assert run(["normalize", "--density", literal], capsys) == (0, literal + "\n", "")
 
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, err = run([], capsys)

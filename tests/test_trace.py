@@ -7,6 +7,7 @@ import pytest
 
 from varschouten import (
     Functional,
+    cli,
     eq1_sign,
     expand_trace,
     jet,
@@ -14,9 +15,10 @@ from varschouten import (
     parse_density,
     reorder_sign_ledger,
     second_variation_cells,
+    trace,
 )
 from varschouten.fuzz import FuzzParams, random_functional, trial_seed
-from varschouten.textio import format_trace_report
+from varschouten.textio import format_density, format_trace_report
 
 
 def test_second_variation_cells_frozen(ctx, golden):
@@ -151,6 +153,59 @@ def test_trace_may_be_vacuous(ctx):
     assert rep.verdict == "verified"
     assert rep.lhs_terms == [] and rep.rhs1_terms == [] and rep.rhs2_terms == []
     assert rep.residue.is_zero()
+
+
+def test_a_spoiled_second_variation_leaves_pieces_unresolved(monkeypatch, golden, capsys):
+    # negate every cell of H's strike (q, left)(p, left): the pieces built from
+    # it no longer equal their predicted partners, and nothing else pairs them
+    original = trace.second_variation_cells
+    h_text = format_density(golden[2].density)
+
+    def spoiled(e, w1, s1, w2, s2):
+        cells = original(e, w1, s1, w2, s2)
+        if format_density(e) == h_text and (w1, s1, w2, s2) == (0, "left", 1, "left"):
+            return [(cell, -value) for cell, value in cells]
+        return cells
+
+    monkeypatch.setattr(trace, "second_variation_cells", spoiled)
+    rep = expand_trace(*golden)
+    assert rep.verdict == "unresolved"
+    unresolved = [
+        (t.section, t.label)
+        for t in rep.lhs_terms + rep.rhs1_terms + rep.rhs2_terms
+        if t.status == "unresolved"
+    ]
+    assert unresolved == [
+        ("lhs", 3), ("lhs", 4), ("lhs", 6), ("rhs2", 15), ("rhs2", 16), ("rhs2", 17),
+    ]
+    argv = ["trace", "--F", "p * q * q[2]", "--G", "p[1] * exp(q[1])", "--H", "p[2] * cos(q)"]
+    assert cli.main(argv) == 1
+    assert "unresolved" in capsys.readouterr().out
+
+
+_CONTEXTS = {
+    "default": "indep x\nfield q even antifield p\n",
+    "pairs": "indep x\nfield u even antifield v\nfield a odd antifield b\n",
+    "plane": "indep x y\nfield q even antifield p\n",
+}
+
+
+@pytest.mark.parametrize("pF, pG", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("text", _CONTEXTS.values(), ids=_CONTEXTS)
+def test_partner_coords_is_an_involution_on_the_group_specs(text, pF, pG):
+    ctx = parse_context(text)
+    parities = {"F": pF, "G": pG, "H": 1}
+    specs = {}
+    for sect in trace.SECTIONS:
+        generated = list(trace._group_specs(sect, ctx, parities))
+        section = {(sect.name,) + spec.coords: spec for spec in generated}
+        assert len(section) == len(generated) == 8 * len(ctx.pairs) ** 2
+        specs.update(section)
+    for key, spec in specs.items():
+        partner = trace._partner_coords(key[0], spec.struck[0], spec.coords)
+        mate = specs[partner]
+        assert mate.struck[0] == spec.struck[0]
+        assert trace._partner_coords(partner[0], mate.struck[0], mate.coords) == key
 
 
 def test_context_mismatch_rejected(ctx, golden):

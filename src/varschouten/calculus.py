@@ -15,8 +15,8 @@ from .core import (
     Expression,
     JetVar,
     _add_term,
-    _merge_even,
     _merge_odd,
+    _merge_units,
     _mul_keys,
     eval_zero_section,
 )
@@ -25,11 +25,11 @@ Side = str  # "left" | "right"
 
 
 def _lower_power(units: tuple, i: int) -> tuple:
-    """A sorted unit tuple with the power (last field) of entry i lowered by one."""
-    *unit, p = units[i]
+    """A sorted (atom, power) unit tuple with the power of entry i lowered by one."""
+    atom, p = units[i]
     if p == 1:
         return units[:i] + units[i + 1 :]
-    return units[:i] + ((*unit, p - 1),) + units[i + 1 :]
+    return units[:i] + ((atom, p - 1),) + units[i + 1 :]
 
 
 def _partials(e: Expression, owner: int, side: Side) -> dict:
@@ -59,7 +59,7 @@ def _partials(e: Expression, owner: int, side: Side) -> dict:
                     key = (even, funcs, odd[:i] + odd[i + 1 :])
                     c = -coeff if crossed % 2 else coeff
                     _add_term(outs.setdefault(jv, {}), key, c)
-        for i, (kind, aid, p) in enumerate(funcs):
+        for i, ((kind, aid), p) in enumerate(funcs):
             d_arg = ctx._arg_partials.get((aid, owner, side))
             if d_arg is None:
                 d_arg = _partials(ctx.arg(aid), owner, side)
@@ -67,15 +67,14 @@ def _partials(e: Expression, owner: int, side: Side) -> dict:
             if not d_arg:
                 continue
             dkind, sgn = FUNC_DERIVATIVE[kind]
-            rest = (even, _lower_power(funcs, i), odd)
-            base = _mul_keys(ctx, ((), ((dkind, aid, 1),), ()), rest)[0]
+            base = (even, _merge_units(_lower_power(funcs, i), (((dkind, aid), 1),)), odd)
             c = coeff * p * sgn
             if odd_owner and side == "right" and len(odd) % 2:
                 c = -c  # the odd d(arg) crosses every odd jet on its way right
             for v, d in d_arg.items():
                 out = outs.setdefault(v, {})
                 for k2, c2 in d.terms.items():
-                    prod = _mul_keys(ctx, k2, base)
+                    prod = _mul_keys(k2, base)
                     if prod is not None:
                         _add_term(out, prod[0], c * c2 * prod[1])
     return {v: Expression(ctx, outs[v]) for v in sorted(outs) if outs[v]}
@@ -101,7 +100,7 @@ def _func_chain(ctx, kind, aid, direction) -> Expression:
     got = ctx._func_chain.get((kind, aid, direction))
     if got is None:
         dkind, sgn = FUNC_DERIVATIVE[kind]
-        head = Expression(ctx, {((), ((dkind, aid, 1),), ()): sgn})
+        head = Expression(ctx, {((), (((dkind, aid), 1),), ()): sgn})
         got = head * total_derivative(ctx.arg(aid), direction)
         ctx._func_chain[(kind, aid, direction)] = got
     return got
@@ -123,13 +122,13 @@ def total_derivative(e: Expression, direction: int = 0) -> Expression:
     for (even, funcs, odd), coeff in e.terms.items():
         for i, (jv, p) in enumerate(even):
             raised = ((JetVar(jv.owner, _bump(jv.order, direction)), 1),)
-            key = (_merge_even(_lower_power(even, i), raised), funcs, odd)
+            key = (_merge_units(_lower_power(even, i), raised), funcs, odd)
             _add_term(out, key, coeff * p)
-        for i, (kind, aid, p) in enumerate(funcs):
+        for i, ((kind, aid), p) in enumerate(funcs):
             chain = _func_chain(ctx, kind, aid, direction)
             base = (even, _lower_power(funcs, i), odd)
             for k2, c2 in chain.terms.items():
-                prod = _mul_keys(ctx, base, k2)
+                prod = _mul_keys(base, k2)
                 if prod is not None:
                     _add_term(out, prod[0], coeff * p * c2 * prod[1])
         for i, jv in enumerate(odd):

@@ -109,10 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--max-degree", type=int, default=3)
     p_fuzz.add_argument("--max-monomials", type=int, default=4)
     p_fuzz.add_argument(
-        "--allow-funcs", dest="allow_funcs", action="store_true", default=True,
-        help="permit exp/sin/cos factors (default)",
-    )
-    p_fuzz.add_argument(
         "--no-funcs", dest="allow_funcs", action="store_false",
         help="restrict trials to differential polynomials",
     )

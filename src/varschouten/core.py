@@ -60,8 +60,8 @@ class JetVar(_JetFields):
 class FieldContext:
     """Independent coordinates plus field/antifield pairs with Z2 parities.
 
-    Owners are numbered in declaration order, each field immediately followed
-    by its antifield; the antifield parity is the field parity flipped.  The
+    Owners are numbered in declaration order: the k-th field is 2k and its
+    antifield 2k+1, whose parity is the field parity flipped.  The
     context also owns the hash-cons table for function-factor arguments and
     the caches of their derivatives and of their plain text.
     """
@@ -77,8 +77,6 @@ class FieldContext:
         self.names: list[str] = []
         self.parities: list[int] = []
         self.pairs: list[tuple[int, int]] = []
-        self._antifield_of: dict[int, int] = {}
-        self._field_of: dict[int, int] = {}
         self._by_name: dict[str, int] = {}
         seen = set(self.indep)
         for name in self.indep:
@@ -94,8 +92,6 @@ class FieldContext:
             fi = self._add_owner(fname, fparity % 2)
             ai = self._add_owner(aname, (fparity + 1) % 2)
             self.pairs.append((fi, ai))
-            self._antifield_of[fi] = ai
-            self._field_of[ai] = fi
         if not self.pairs:
             raise ValueError("at least one field/antifield pair is required")
         # hash-cons storage for function-factor arguments
@@ -138,18 +134,12 @@ class FieldContext:
             raise ValueError(f"owner index {ref} out of range")
         return ref
 
-    def parity(self, ref: Union[int, str]) -> int:
-        return self.parities[self.owner(ref)]
-
     def is_antifield(self, ref: Union[int, str]) -> bool:
-        return self.owner(ref) in self._field_of
+        return self.owner(ref) % 2 == 1
 
     def antifield(self, ref: Union[int, str]) -> int:
         """The antifield partner of a field (or the field of an antifield)."""
-        idx = self.owner(ref)
-        if idx in self._antifield_of:
-            return self._antifield_of[idx]
-        return self._field_of[idx]
+        return self.owner(ref) ^ 1
 
     # -- function-argument interning -------------------------------------
 
@@ -181,46 +171,33 @@ def _check_name(name: str) -> None:
 # canonical monomial keys
 #
 # A term key is (even, funcs, odd) where
-#   even:  tuple of (JetVar, power), sorted by JetVar, powers >= 1
-#   funcs: tuple of (kind, arg_id, power), sorted by (kind, arg structural key)
+#   even:  tuple of units (JetVar, power), sorted by JetVar, powers >= 1
+#   funcs: tuple of units ((kind, arg_id), power), sorted by (kind, arg_id)
 #   odd:   tuple of JetVar, strictly increasing
 # (a JetVar compares as the tuple (owner, degree, order): the canonical order)
 #
-# Keys are only built by merging keys that are already sorted (_mul_keys and
-# the _merge_* helpers); no monomial is ever re-sorted from scratch.
+# Keys are only built by merging keys that are already sorted (_mul_keys,
+# _merge_units and _merge_odd); no monomial is ever re-sorted from scratch.
+# An arg_id is a context's interning number, so the key order of function
+# units depends on interning history; display_funcs gives the order that
+# does not (kind, then argument structure), for printing and identity.
 # ---------------------------------------------------------------------------
 
 _EMPTY_KEY = ((), (), ())
 
 
-def _merge_even(a, b):
+def _merge_units(a, b):
+    """Merge two sorted (atom, power) unit tuples, adding the powers of equal atoms."""
+    if not a:
+        return b
+    if not b:
+        return a
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
         ka, kb = a[i][0], b[j][0]
         if ka == kb:
             out.append((a[i][0], a[i][1] + b[j][1]))
-            i += 1
-            j += 1
-        elif ka < kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def _merge_funcs(ctx, a, b):
-    fkey = lambda f: (f[0], ctx.arg_key(f[1]))
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ka, kb = fkey(a[i]), fkey(b[j])
-        if ka == kb:
-            out.append((a[i][0], a[i][1], a[i][2] + b[j][2]))
             i += 1
             j += 1
         elif ka < kb:
@@ -265,13 +242,27 @@ def _merge_odd(a, b):
     return tuple(out), sign
 
 
-def _mul_keys(ctx, k1, k2):
+def _mul_keys(k1, k2):
     """Graded product of two term keys; returns (key, sign) or None."""
     merged_odd = _merge_odd(k1[2], k2[2])
     if merged_odd is None:
         return None
     odd, sign = merged_odd
-    return (_merge_even(k1[0], k2[0]), _merge_funcs(ctx, k1[1], k2[1]), odd), sign
+    return (_merge_units(k1[0], k2[0]), _merge_units(k1[1], k2[1]), odd), sign
+
+
+def display_funcs(ctx: FieldContext, funcs: tuple) -> list:
+    """A key's function units in display order: by kind, then argument structure.
+
+    Within one context arg ids and argument structures correspond one to one,
+    so this order is the same for equal factors whatever the interning history.
+    """
+    return sorted(funcs, key=lambda u: (u[0][0], ctx.arg_key(u[0][1])))
+
+
+def _structural_funcs(ctx: FieldContext, funcs: tuple) -> tuple:
+    """Function units in display order, each arg id replaced by its structural key."""
+    return tuple((kind, ctx.arg_key(aid), p) for (kind, aid), p in display_funcs(ctx, funcs))
 
 
 def _demote(c: Rat) -> Rat:
@@ -332,15 +323,7 @@ class Expression:
         return seen.pop()
 
     def max_jet_order(self) -> int:
-        best = 0
-        for even, funcs, odd in self.terms:
-            for v, _ in even:
-                best = max(best, v.degree)
-            for v in odd:
-                best = max(best, v.degree)
-            for _, aid, _ in funcs:
-                best = max(best, self.ctx.arg(aid).max_jet_order())
-        return best
+        return max((v.degree for v in _jets(self)), default=0)
 
     # -- ring operations ----------------------------------------------------
 
@@ -372,14 +355,13 @@ class Expression:
             return self.scale(other)
         self._require_same_ctx(other)
         out: dict = {}
-        ctx = self.ctx
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                prod = _mul_keys(ctx, k1, k2)
+                prod = _mul_keys(k1, k2)
                 if prod is not None:
                     c = c1 * c2
                     _add_term(out, prod[0], c if prod[1] > 0 else -c)
-        return Expression(ctx, out)
+        return Expression(self.ctx, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -413,7 +395,7 @@ class Expression:
             rows.append(
                 (
                     tuple((v.owner, v.order, p) for v, p in even),
-                    tuple((kind, ctx.arg_key(aid), p) for kind, aid, p in funcs),
+                    _structural_funcs(ctx, funcs),
                     tuple((v.owner, v.order) for v in odd),
                     (coeff.numerator, coeff.denominator),
                 )
@@ -426,7 +408,7 @@ class Expression:
 
         def okey(item):
             even, funcs, odd = item
-            return (even, tuple((kind, ctx.arg_key(aid), p) for kind, aid, p in funcs), odd)
+            return (even, _structural_funcs(ctx, funcs), odd)
 
         return sorted(self.terms, key=okey)
 
@@ -471,7 +453,7 @@ def _func(kind: str, arg: Expression) -> Expression:
     if arg.parity != 0:
         raise ValueError(f"{kind} argument must be parity-even")
     aid = arg.ctx.intern_arg(arg)
-    return Expression(arg.ctx, {((), ((kind, aid, 1),), ()): 1})
+    return Expression(arg.ctx, {((), (((kind, aid), 1),), ()): 1})
 
 
 def exp(arg: Expression) -> Expression:
@@ -499,7 +481,7 @@ def eval_zero_section(e: Expression) -> Rat:
         if even or odd:
             continue
         value = coeff
-        for kind, aid, power in funcs:
+        for (kind, aid), power in funcs:
             at0 = eval_zero_section(e.ctx.arg(aid))
             if at0 == 0:
                 fval = FUNC_AT_ZERO[kind]
@@ -514,20 +496,17 @@ def eval_zero_section(e: Expression) -> Rat:
     return total
 
 
-def _collect_orders(e: Expression, owner: int) -> set:
-    found = set()
+def _jets(e: Expression):
+    """Every JetVar occurrence in e, function arguments included."""
     for even, funcs, odd in e.terms:
         for v, _ in even:
-            if v.owner == owner:
-                found.add(v.order)
-        for v in odd:
-            if v.owner == owner:
-                found.add(v.order)
-        for _, aid, _ in funcs:
-            found |= _collect_orders(e.ctx.arg(aid), owner)
-    return found
+            yield v
+        yield from odd
+        for (_, aid), _ in funcs:
+            yield from _jets(e.ctx.arg(aid))
 
 
 def jet_orders(e: Expression, ref: Union[int, str]) -> set:
     """All multi-indices with which the given owner occurs in e (args included)."""
-    return _collect_orders(e, e.ctx.owner(ref))
+    owner = e.ctx.owner(ref)
+    return {v.order for v in _jets(e) if v.owner == owner}

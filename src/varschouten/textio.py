@@ -15,8 +15,10 @@ per independent coordinate (so q[2] is the second x-derivative on a line).
 Parentheses and function calls nest at most MAX_NESTING levels deep, and a
 factor's exponent is at most MAX_EXPONENT, where a chain a^m^n and a power of
 a group (a^m)^n both count as m*n.  A number has at most MAX_DIGITS digits,
-as a literal and as a printed numerator or denominator.  Factors print in key
-order, jets in JetVar order (field, total order, multi-index): q[1,0]*q[0,2].
+as a literal and as a printed numerator or denominator.  Factors print as even
+jets, then function factors, then odd jets.  Jets print in JetVar order (field,
+total order, multi-index): q[1,0]*q[0,2]; function factors by kind, then by
+argument structure, whatever the context's interning order.
 Context files are line-based: one `indep` line naming the independent
 coordinates, then one `field NAME even|odd antifield NAME` line per
 conjugate pair; `#` starts a comment.
@@ -35,6 +37,7 @@ from .core import (
     RESERVED_NAMES,
     cos,
     exp,
+    display_funcs,
     jet,
     sin,
 )
@@ -74,6 +77,7 @@ class _Token(NamedTuple):
 
 
 _SYMBOLS = frozenset("+-*/^()[],")
+_DIGITS = frozenset("0123456789")  # str.isdigit would also accept non-ASCII digits
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -92,9 +96,9 @@ def _tokenize(text: str) -> list[_Token]:
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"number longer than {MAX_DIGITS} digits", line, col)
@@ -312,7 +316,7 @@ def _plain_factors(ctx: FieldContext, key) -> list[str]:
     for v, power in even:
         text = _jet_name(ctx, v)
         parts.append(text if power == 1 else f"{text}^{power}")
-    for kind, aid, power in funcs:
+    for (kind, aid), power in display_funcs(ctx, funcs):
         arg = ctx._arg_plain.get(aid)
         if arg is None:
             arg = ctx._arg_plain[aid] = _plain(ctx.arg(aid))
@@ -373,7 +377,7 @@ def _latex(e: Expression) -> str:
             parts.append("\\frac{" + num + "}{" + den + "}" if den else num)
         for v, power in even:
             parts.append(_latex_power(_latex_jet(e.ctx, v), power))
-        for kind, aid, power in funcs:
+        for (kind, aid), power in display_funcs(e.ctx, funcs):
             arg = _latex(e.ctx.arg(aid))
             if kind == "exp":
                 parts.append(_latex_power("e^{" + arg + "}", power))
@@ -405,7 +409,7 @@ def density_to_json(e: Expression) -> dict:
         for key in x.monomial_order():
             even, funcs, odd = key
             func_rows = []
-            for kind, aid, power in funcs:
+            for (kind, aid), power in display_funcs(ctx, funcs):
                 if aid not in remap:
                     remap[aid] = len(remap)
                     queue.append(aid)
@@ -541,11 +545,8 @@ def format_trace_report(report, style: str = "plain") -> str:
         n = len(terms)
         lines.append(f"{name} ({n} piece{'s' if n != 1 else ''}):")
         for t in terms:
-            status = t.status
-            if t.level and t.level != "canonical":
-                status += f"/{t.level}"
             partner = f" -> {t.partner[0]}:{t.partner[1]}" if t.partner else ""
-            lines.append(f"  <{t.label}> {status}{partner}  {_plain(t.density)}")
+            lines.append(f"  <{t.label}> {t.status}{partner}  {_plain(t.density)}")
     lines.append(
         "reorder signs: "
         + "  ".join(f"{{{k}}}:{v:+d}" for k, v in sorted(report.ledger.items()))

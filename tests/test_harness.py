@@ -266,6 +266,12 @@ class TestErrorHandling:
             f"error: line 1, column {column}: exponent larger than {MAX_EXPONENT}\n"
         )
 
+    @pytest.mark.parametrize("digit", ["²", "٣"])  # superscript two, Arabic-Indic three
+    def test_non_ascii_digit_exits_2(self, capsys, digit):
+        code, out, err = run(["normalize", "--density", f"q^{digit}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1, column 3: unexpected character {digit!r}\n"
+
     @pytest.mark.parametrize(
         "density, want",
         [

@@ -159,6 +159,50 @@ class TestPlainFormat:
             assert format_density(on_line) == "exp(q)*p"
             assert format_density(on_pairs) == "exp(u[1])*v"
 
+    def test_function_factors_render_by_kind_then_argument(self):
+        # the two contexts intern the arguments q, q[1], q*q[1], exp(q) in
+        # orders as opposite as nesting allows, so arg ids order the two exp
+        # factors one way in the first context and the other way in the second
+        factors = ["exp(q)", "exp(q[1])", "sin(q*q[1])", "cos(exp(q))"]
+        want = {
+            "plain": [
+                "cos(exp(q))*exp(q)*exp(q[1])*sin(q*q[1])",
+                "cos(exp(q))*exp(q)*sin(q*q[1]) - cos(exp(q))*exp(q[1])"
+                " + exp(q)*exp(q[1])^2*p[1]",
+            ],
+            "latex": [
+                "\\cos(e^{q}) e^{q} e^{q_{x}} \\sin(q q_{x})",
+                "\\cos(e^{q}) e^{q} \\sin(q q_{x}) - \\cos(e^{q}) e^{q_{x}}"
+                " + e^{q} {e^{q_{x}}}^{2} q^{\\dagger}_{x}",
+            ],
+            "json": [
+                '{"args":{"0":{"monomials":[{"coeff":"1","even":[],"funcs":[["exp",1,1]],'
+                '"odd":[]}]},"1":{"monomials":[{"coeff":"1","even":[["q",1]],"funcs":[],'
+                '"odd":[]}]},"2":{"monomials":[{"coeff":"1","even":[["q[1]",1]],"funcs":[],'
+                '"odd":[]}]},"3":{"monomials":[{"coeff":"1","even":[["q",1],["q[1]",1]],'
+                '"funcs":[],"odd":[]}]}},"monomials":[{"coeff":"1","even":[],"funcs":'
+                '[["cos",0,1],["exp",1,1],["exp",2,1],["sin",3,1]],"odd":[]}]}',
+                '{"args":{"0":{"monomials":[{"coeff":"1","even":[],"funcs":[["exp",1,1]],'
+                '"odd":[]}]},"1":{"monomials":[{"coeff":"1","even":[["q",1]],"funcs":[],'
+                '"odd":[]}]},"2":{"monomials":[{"coeff":"1","even":[["q",1],["q[1]",1]],'
+                '"funcs":[],"odd":[]}]},"3":{"monomials":[{"coeff":"1","even":[["q[1]",1]],'
+                '"funcs":[],"odd":[]}]}},"monomials":[{"coeff":"1","even":[],"funcs":'
+                '[["cos",0,1],["exp",1,1],["sin",2,1]],"odd":[]},{"coeff":"-1","even":[],'
+                '"funcs":[["cos",0,1],["exp",3,1]],"odd":[]},{"coeff":"1","even":[],'
+                '"funcs":[["exp",1,1],["exp",3,2]],"odd":["p[1]"]}]}',
+            ],
+        }
+        for order in (factors, [factors[2], factors[1], factors[3], factors[0]]):
+            ctx = parse_context("indep x\nfield q even antifield p\n")
+            built = {text: parse_density(text, ctx) for text in order}
+            e1, e2, e3, e4 = (built[text] for text in factors)
+            products = [
+                e4 * e3 * e2 * e1,
+                e2 * e2 * e1 * jet(ctx, "p", 1) + e3 * e4 * e1 - e2 * e4,
+            ]
+            for style, texts in want.items():
+                assert [format_density(e, style) for e in products] == texts
+
     def test_argument_text_survives_new_interning(self, ctx):
         text = "sin(q*exp(q[1]))*exp(q[1])*p - 1/2*cos(q)"
         e = parse_density(text, ctx)

@@ -210,10 +210,13 @@ def is_exact(e: Expression) -> bool:
     """True iff e is a total divergence.
 
     Over base-coordinate-independent densities this is equivalent to all
-    Euler derivatives vanishing together with a zero constant part.
+    Euler derivatives vanishing together with a zero constant part.  The
+    verdict does not change under a nonzero scalar, so it is computed on the
+    primitive part of e, whose coefficients are coprime ints.
     """
     if e.is_zero():
         return True
+    e = e.primitive_part()
     for owner in range(len(e.ctx.names)):
         if not euler(e, owner, "left").is_zero():
             return False

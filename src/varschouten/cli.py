@@ -164,7 +164,10 @@ def _cmd_fuzz(args) -> int:
     seed = args.seed
     env = os.environ.get("VARSCHOUTEN_SEED")
     if env is not None:
-        seed = int(env, 0)
+        try:
+            seed = int(env, 0)
+        except ValueError:
+            raise ValueError(f"VARSCHOUTEN_SEED must be an integer, got {env!r}") from None
     params = FuzzParams(
         seed=seed,
         count=args.count,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Order = tuple[int, ...]
@@ -384,6 +385,20 @@ class Expression:
     def __repr__(self) -> str:
         n = len(self.terms)
         return f"<Expression: {n} monomial{'s' if n != 1 else ''}>"
+
+    def primitive_part(self) -> "Expression":
+        """self times the positive rational that makes its coefficients coprime ints.
+
+        The content/primitive-part split: multiply by the lcm of the coefficient
+        denominators, then divide by the gcd of the numerators.  Returns self
+        when it is already primitive (zero included).
+        """
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        ints = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
+        num = gcd(*ints.values())
+        if den == 1 and num <= 1:
+            return self
+        return Expression(self.ctx, {k: c // num for k, c in ints.items()})
 
     # -- canonical identity ---------------------------------------------------
 

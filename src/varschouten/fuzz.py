@@ -17,8 +17,14 @@ from fractions import Fraction
 from .calculus import is_exact
 from .core import Expression, FieldContext, jet
 from .functional import Functional
-from .schouten import _jacobi_density, _symmetry_density, schouten_bracket
-from .textio import _FUNC_BUILDERS, format_density
+from .schouten import (
+    _jacobi_density,
+    _symmetry_density,
+    graded_symmetry_defect,
+    jacobi_defect,
+    schouten_bracket,
+)
+from .textio import _FUNC_BUILDERS, MAX_JET_ORDER, format_density
 
 _MIX = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -45,6 +51,10 @@ class FuzzParams:
         ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.max_jet_order > MAX_JET_ORDER:
+            raise ValueError(
+                f"max_jet_order must be at most {MAX_JET_ORDER}, got {self.max_jet_order}"
+            )
         if self.parity not in ("even", "odd", "any"):
             raise ValueError(f"unknown parity choice {self.parity!r}")
 
@@ -121,13 +131,14 @@ def run_fuzz(ctx: FieldContext, params: FuzzParams) -> dict:
         F = random_functional(ctx, rng, params, "F")
         G = random_functional(ctx, rng, params, "G")
         H = random_functional(ctx, rng, params, "H")
-        fg = schouten_bracket(F, G).value
-        fh = schouten_bracket(F, H).value
-        gh = schouten_bracket(G, H).value
-        defect = _jacobi_density(F, G, H, fg, fh, gh)
-        symmetry = _symmetry_density(F, G, fg)
-        jacobi_ok = is_exact(defect)
-        symmetry_ok = is_exact(symmetry)
+        # positive scaling changes no parity, no zero bracket and no verdict,
+        # so the trial runs on the primitive parts (integer coefficients)
+        pF, pG, pH = (Functional(X.density.primitive_part(), X.label) for X in (F, G, H))
+        fg = schouten_bracket(pF, pG).value
+        fh = schouten_bracket(pF, pH).value
+        gh = schouten_bracket(pG, pH).value
+        jacobi_ok = is_exact(_jacobi_density(pF, pG, pH, fg, fh, gh))
+        symmetry_ok = is_exact(_symmetry_density(pF, pG, fg))
         if jacobi_ok and symmetry_ok:
             verified += 1
             if fg.is_zero() and fh.is_zero() and gh.is_zero():
@@ -142,7 +153,12 @@ def run_fuzz(ctx: FieldContext, params: FuzzParams) -> dict:
                         "G": format_density(G.density),
                         "H": format_density(H.density),
                     },
-                    "residue": format_density(defect if not jacobi_ok else symmetry),
+                    # rebuilt from the densities as drawn, not their primitive parts
+                    "residue": format_density(
+                        jacobi_defect(F, G, H).density
+                        if not jacobi_ok
+                        else graded_symmetry_defect(F, G).density
+                    ),
                 }
             )
     return {

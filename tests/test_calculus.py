@@ -1,5 +1,6 @@
 """Directed partials, the total derivative, Euler operators, and exactness."""
 
+import math
 import random
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from varschouten import (
     exp,
     is_exact,
     iterated_derivative,
+    jacobi_defect,
     jet,
     jet_orders,
     parse_context,
@@ -23,7 +25,7 @@ from varschouten import (
     sin,
     total_derivative,
 )
-from varschouten.fuzz import FuzzParams, random_expression
+from varschouten.fuzz import FuzzParams, random_expression, random_functional, trial_seed
 
 
 def _samples(ctx, count, parity="any", seed=11):
@@ -262,6 +264,59 @@ class TestIsExact:
 
     def test_surviving_function_constant_is_not_exact(self, ctx):
         assert not is_exact(exp(Expression.const(ctx, 1)))
+
+    def test_verdict_is_invariant_under_scaling(self, ctx):
+        # the first 8 criterion-5 defects (seed 2026), and non-exact controls:
+        # each defect plus a non-exact density, and that density alone
+        defects = [d for d in _criterion_5_defects(ctx, 8) if not d.is_zero()]
+        assert any(type(c) is Fraction for d in defects for c in d.terms.values())
+        control = parse_density("1/3*q*q[2] - 5/7*p*q[1]^2", ctx)
+        cases = [(d, True) for d in defects] + [(d + control, False) for d in defects[:4]]
+        cases.append((control, False))
+        for e, want in cases:
+            assert is_exact(e) is want
+            for c in _SCALARS:
+                assert is_exact(e.scale(c)) is want
+
+
+# negative, fractional and large scalars
+_SCALARS = (-1, Fraction(-7, 3), Fraction(1, 10**12 + 39), 10**40)
+
+
+def _criterion_5_defects(ctx, count):
+    """The Jacobi defects of the first `count` seed-2026 fuzz triples."""
+    params = FuzzParams(seed=2026, count=count)
+    out = []
+    for index in range(count):
+        rng = random.Random(trial_seed(params.seed, index))
+        F, G, H = (random_functional(ctx, rng, params, label) for label in "FGH")
+        out.append(jacobi_defect(F, G, H).density)
+    return out
+
+
+class TestPrimitivePart:
+    def test_coprime_ints_and_a_positive_multiple(self, ctx):
+        samples = _criterion_5_defects(ctx, 6) + _samples(ctx, 40)
+        samples += [e.scale(c) for e in samples[:10] for c in _SCALARS]
+        for e in samples:
+            if e.is_zero():
+                continue
+            prim = e.primitive_part()
+            coeffs = list(prim.terms.values())
+            assert all(type(c) is int for c in coeffs)
+            assert math.gcd(*coeffs) == 1
+            key = next(iter(e.terms))
+            ratio = Fraction(prim.terms[key]) / e.terms[key]
+            assert ratio > 0
+            assert prim == e.scale(ratio)
+
+    def test_primitive_input_is_returned_as_is(self, ctx):
+        zero = Expression.zero(ctx)
+        assert zero.primitive_part() is zero
+        e = parse_density("3*q*q[2] - 2*p*q[1]", ctx)
+        assert e.primitive_part() is e
+        assert parse_density("-q", ctx).primitive_part() == parse_density("-q", ctx)
+        assert e.scale(Fraction(-5, 6)).primitive_part() == -e
 
 
 def _integral_fractions(exprs):

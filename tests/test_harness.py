@@ -1,21 +1,24 @@
 """Command-line interface behavior, output formats, and exit codes."""
 
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import varschouten
-from varschouten import is_exact, parse_density
+from varschouten import fuzz, format_density, is_exact, jacobi_defect, parse_density
 from varschouten.cli import main
 from varschouten.fuzz import FuzzParams
-from varschouten.textio import MAX_DIGITS, MAX_EXPONENT, MAX_NESTING
+from varschouten.textio import MAX_DIGITS, MAX_EXPONENT, MAX_JET_ORDER, MAX_NESTING
 
 GOLDEN_F = "p * q * q[2]"
 GOLDEN_G = "p[1] * exp(q[1])"
 GOLDEN_H = "p[2] * cos(q)"
+PLANE = "indep x y\nfield q even antifield p\n"
 
 
 def run(argv, capsys):
@@ -178,7 +181,13 @@ class TestFuzz:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--count", "-5"), ("--max-jet-order", "-1"), ("--max-degree", "0"), ("--max-monomials", "0")],
+        [
+            ("--count", "-5"),
+            ("--max-jet-order", "-1"),
+            ("--max-jet-order", str(MAX_JET_ORDER + 1)),  # past the parser's limit
+            ("--max-degree", "0"),
+            ("--max-monomials", "0"),
+        ],
     )
     def test_out_of_range_settings_exit_2(self, capsys, flag, value):
         code, out, err = run(["fuzz", flag, value], capsys)
@@ -200,6 +209,32 @@ class TestFuzz:
         monkeypatch.setenv("VARSCHOUTEN_SEED", "0x5")
         from_env = run(["fuzz", "--count", "3", "--format", "json"], capsys)
         assert from_env == explicit
+
+    def test_malformed_seed_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("VARSCHOUTEN_SEED", "zz")
+        code, out, err = run(["fuzz", "--count", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: VARSCHOUTEN_SEED must be an integer, got 'zz'\n"
+
+    def test_failure_report_prints_the_unscaled_densities(self, ctx, monkeypatch):
+        # every defect fails, so each trial reports its Jacobi residue
+        monkeypatch.setattr(fuzz, "is_exact", lambda e: False)
+        params = FuzzParams(seed=2026, count=3)
+        report = fuzz.run_fuzz(ctx, params)
+        assert report["verified"] == 0 and len(report["failures"]) == 3
+        fractional = False
+        for index, failure in enumerate(report["failures"]):
+            rng = random.Random(fuzz.trial_seed(params.seed, index))
+            F, G, H = (fuzz.random_functional(ctx, rng, params, label) for label in "FGH")
+            defect = jacobi_defect(F, G, H).density
+            fractional |= any(type(c) is Fraction for c in defect.terms.values())
+            assert failure["densities"] == {
+                "F": format_density(F.density),
+                "G": format_density(G.density),
+                "H": format_density(H.density),
+            }
+            assert failure["residue"] == format_density(defect)
+        assert fractional
 
 
 class TestErrorHandling:
@@ -303,6 +338,36 @@ class TestErrorHandling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{MAX_DIGITS} digits" in err
         assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize(
+        "ctx_text, density, column",
+        [
+            (None, f"q[{MAX_JET_ORDER + 1}]", 3),
+            (None, "q[3000]*q[3000]*q[3000]", 3),
+            (None, f"q*exp(p*p[{MAX_JET_ORDER + 1}])", 11),
+            # on a plane the total order counts: the entry that crosses it is named
+            (PLANE, f"q[{MAX_JET_ORDER // 2},{MAX_JET_ORDER // 2 + 1}]", 5),
+            (PLANE, f"p[0,{MAX_JET_ORDER + 1}]", 5),
+        ],
+        ids=["line", "product", "argument", "plane-sum", "plane-entry"],
+    )
+    def test_jet_order_past_the_limit_exits_2(self, capsys, tmp_path, ctx_text, density, column):
+        argv = ["euler", "--density", density, "--wrt", "q"]
+        if ctx_text is not None:
+            (tmp_path / "ctx.txt").write_text(ctx_text)
+            argv += ["--ctx", str(tmp_path / "ctx.txt")]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: line 1, column {column}: jet order larger than {MAX_JET_ORDER}\n"
+
+    def test_jet_order_at_the_limit_parses(self, capsys, tmp_path):
+        density = f"q[{MAX_JET_ORDER}]*exp(q[{MAX_JET_ORDER}])"
+        assert run(["normalize", "--density", density], capsys) == (0, density + "\n", "")
+        (tmp_path / "ctx.txt").write_text(PLANE)
+        half = MAX_JET_ORDER // 2
+        density = f"q[{half},{MAX_JET_ORDER - half}]"
+        argv = ["normalize", "--density", density, "--ctx", str(tmp_path / "ctx.txt")]
+        assert run(argv, capsys) == (0, density + "\n", "")
 
     def test_number_at_the_digit_limit_parses(self, capsys):
         literal = "9" * MAX_DIGITS

@@ -15,8 +15,8 @@ from .core import (
     Expression,
     JetVar,
     _add_term,
+    _insert_unit,
     _merge_odd,
-    _merge_units,
     _mul_keys,
     eval_zero_section,
 )
@@ -67,7 +67,7 @@ def _partials(e: Expression, owner: int, side: Side) -> dict:
             if not d_arg:
                 continue
             dkind, sgn = FUNC_DERIVATIVE[kind]
-            base = (even, _merge_units(_lower_power(funcs, i), (((dkind, aid), 1),)), odd)
+            base = (even, _insert_unit(_lower_power(funcs, i), (dkind, aid)), odd)
             c = coeff * p * sgn
             if odd_owner and side == "right" and len(odd) % 2:
                 c = -c  # the odd d(arg) crosses every odd jet on its way right
@@ -119,10 +119,17 @@ def total_derivative(e: Expression, direction: int = 0) -> Expression:
     if not 0 <= direction < ctx.n_indep:
         raise ValueError(f"direction {direction} out of range")
     out: dict = {}
+    raised: dict = {}  # jet -> its D_direction, built once per call
+
+    def up(jv):
+        got = raised.get(jv)
+        if got is None:
+            got = raised[jv] = JetVar(jv.owner, _bump(jv.order, direction))
+        return got
+
     for (even, funcs, odd), coeff in e.terms.items():
         for i, (jv, p) in enumerate(even):
-            raised = ((JetVar(jv.owner, _bump(jv.order, direction)), 1),)
-            key = (_merge_units(_lower_power(even, i), raised), funcs, odd)
+            key = (_insert_unit(_lower_power(even, i), up(jv)), funcs, odd)
             _add_term(out, key, coeff * p)
         for i, ((kind, aid), p) in enumerate(funcs):
             chain = _func_chain(ctx, kind, aid, direction)
@@ -132,8 +139,7 @@ def total_derivative(e: Expression, direction: int = 0) -> Expression:
                 if prod is not None:
                     _add_term(out, prod[0], coeff * p * c2 * prod[1])
         for i, jv in enumerate(odd):
-            raised = (JetVar(jv.owner, _bump(jv.order, direction)),)
-            merged = _merge_odd(odd[:i] + odd[i + 1 :], raised)
+            merged = _merge_odd(odd[:i] + odd[i + 1 :], (up(jv),))
             if merged is not None:
                 c = coeff * merged[1]
                 _add_term(out, (even, funcs, merged[0]), -c if (len(odd) - i - 1) % 2 else c)
@@ -216,7 +222,7 @@ def is_exact(e: Expression) -> bool:
     """
     if e.is_zero():
         return True
-    e = e.primitive_part()
+    e = e.content_and_primitive()[1]
     for owner in range(len(e.ctx.names)):
         if not euler(e, owner, "left").is_zero():
             return False

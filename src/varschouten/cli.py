@@ -5,7 +5,7 @@ given inline (or as @FILE to read from a file) in the plain text syntax; the
 field context comes from --ctx FILE, defaulting to a single even field q with
 antifield p on one independent coordinate x.  Exit status: 0 on success (and
 verified identities), 1 when a checked identity fails, 2 on usage or parse
-errors.
+errors, 3 on an internal error (a fault of the program, not of the input).
 """
 
 from __future__ import annotations
@@ -211,6 +211,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 means a defect, so a fault gets its own code
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

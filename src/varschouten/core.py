@@ -16,8 +16,10 @@ arguments share one id and powers of equal factors merge.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Order = tuple[int, ...]
@@ -178,7 +180,8 @@ def _check_name(name: str) -> None:
 # (a JetVar compares as the tuple (owner, degree, order): the canonical order)
 #
 # Keys are only built by merging keys that are already sorted (_mul_keys,
-# _merge_units and _merge_odd); no monomial is ever re-sorted from scratch.
+# _merge_units, _insert_unit and _merge_odd); no monomial is ever re-sorted
+# from scratch.
 # An arg_id is a context's interning number, so the key order of function
 # units depends on interning history; display_funcs gives the order that
 # does not (kind, then argument structure), for printing and identity.
@@ -210,6 +213,14 @@ def _merge_units(a, b):
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+def _insert_unit(units, atom):
+    """A sorted (atom, power) unit tuple times one power of atom."""
+    i = bisect_left(units, atom, key=itemgetter(0))
+    if i < len(units) and units[i][0] == atom:
+        return units[:i] + ((atom, units[i][1] + 1),) + units[i + 1 :]
+    return units[:i] + ((atom, 1),) + units[i:]
 
 
 def _merge_odd(a, b):
@@ -264,6 +275,12 @@ def display_funcs(ctx: FieldContext, funcs: tuple) -> list:
 def _structural_funcs(ctx: FieldContext, funcs: tuple) -> tuple:
     """Function units in display order, each arg id replaced by its structural key."""
     return tuple((kind, ctx.arg_key(aid), p) for (kind, aid), p in display_funcs(ctx, funcs))
+
+
+def display_key(ctx: FieldContext, key: tuple) -> tuple:
+    """The sort key of a monomial key in the canonical display order."""
+    even, funcs, odd = key
+    return (even, _structural_funcs(ctx, funcs), odd)
 
 
 def _demote(c: Rat) -> Rat:
@@ -349,7 +366,17 @@ class Expression:
         factor = _demote(Fraction(factor))
         if not factor:
             return Expression(self.ctx)
-        return Expression(self.ctx, {k: _demote(c * factor) for k, c in self.terms.items()})
+        if type(factor) is int:
+            return Expression(self.ctx, {k: _demote(c * factor) for k, c in self.terms.items()})
+        # an int coefficient makes one normalizing Fraction, not an int-to-Fraction product
+        n, d = factor.numerator, factor.denominator
+        return Expression(
+            self.ctx,
+            {
+                k: _demote(Fraction(c * n, d) if type(c) is int else c * factor)
+                for k, c in self.terms.items()
+            },
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -386,19 +413,22 @@ class Expression:
         n = len(self.terms)
         return f"<Expression: {n} monomial{'s' if n != 1 else ''}>"
 
-    def primitive_part(self) -> "Expression":
-        """self times the positive rational that makes its coefficients coprime ints.
+    def content_and_primitive(self) -> tuple[Rat, "Expression"]:
+        """The content/primitive-part split: (c, P) with self == P.scale(c).
 
-        The content/primitive-part split: multiply by the lcm of the coefficient
-        denominators, then divide by the gcd of the numerators.  Returns self
-        when it is already primitive (zero included).
+        P is self times the lcm of the coefficient denominators, divided by the
+        gcd of the numerators, so its coefficients are coprime ints; the content
+        c is the positive rational that undoes that scaling.  Returns (1, self)
+        when self is already primitive (zero included).
         """
         den = lcm(*(c.denominator for c in self.terms.values()))
         ints = {k: c.numerator * (den // c.denominator) for k, c in self.terms.items()}
         num = gcd(*ints.values())
         if den == 1 and num <= 1:
-            return self
-        return Expression(self.ctx, {k: c // num for k, c in ints.items()})
+            return 1, self
+        return _demote(Fraction(num, den)), Expression(
+            self.ctx, {k: c // num for k, c in ints.items()}
+        )
 
     # -- canonical identity ---------------------------------------------------
 
@@ -420,12 +450,7 @@ class Expression:
     def monomial_order(self) -> list:
         """Term keys in the canonical display order (structural, deterministic)."""
         ctx = self.ctx
-
-        def okey(item):
-            even, funcs, odd = item
-            return (even, _structural_funcs(ctx, funcs), odd)
-
-        return sorted(self.terms, key=okey)
+        return sorted(self.terms, key=lambda key: display_key(ctx, key))
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,9 @@ def run_fuzz(ctx: FieldContext, params: FuzzParams) -> dict:
         H = random_functional(ctx, rng, params, "H")
         # positive scaling changes no parity, no zero bracket and no verdict,
         # so the trial runs on the primitive parts (integer coefficients)
-        pF, pG, pH = (Functional(X.density.primitive_part(), X.label) for X in (F, G, H))
+        pF, pG, pH = (
+            Functional(X.density.content_and_primitive()[1], X.label) for X in (F, G, H)
+        )
         fg = schouten_bracket(pF, pG).value
         fh = schouten_bracket(pF, pH).value
         gh = schouten_bracket(pG, pH).value

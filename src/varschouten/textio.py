@@ -40,6 +40,7 @@ from .core import (
     cos,
     exp,
     display_funcs,
+    display_key,
     jet,
     sin,
 )
@@ -343,17 +344,32 @@ def _plain_factors(ctx: FieldContext, key) -> list[str]:
     return parts
 
 
-def _plain(e: Expression) -> str:
+def _plain(e: Expression, memo: Optional[dict] = None) -> str:
+    """Plain text of a density.
+
+    `memo` maps a monomial key to its display sort key and its factor text;
+    densities of one context may share it, so that a report renders each
+    distinct monomial once.
+    """
     if e.is_zero():
         return "0"
+    if memo is None:
+        memo = {}
+    ctx = e.ctx
+    rows = []
+    for key, coeff in e.terms.items():
+        row = memo.get(key)
+        if row is None:
+            row = memo[key] = (display_key(ctx, key), "*".join(_plain_factors(ctx, key)))
+        rows.append((row, coeff))
+    rows.sort(key=lambda r: r[0][0])
     chunks = []
-    for key in e.monomial_order():
-        coeff = e.terms[key]
-        factors = _plain_factors(e.ctx, key)
+    for (_, factors), coeff in rows:
         magnitude = abs(coeff)
         if magnitude != 1 or not factors:
-            factors.insert(0, _coeff_text(magnitude))
-        body = "*".join(factors)
+            body = _coeff_text(magnitude) + ("*" + factors if factors else "")
+        else:
+            body = factors
         if not chunks:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:
@@ -472,7 +488,7 @@ def format_density(e: Expression, style: str = "plain") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _term_row(t) -> dict:
+def _term_row(t, memo: dict) -> dict:
     return {
         "label": t.label,
         "position": t.position,
@@ -486,7 +502,7 @@ def _term_row(t) -> dict:
             role: (list(block) if block is not None else None)
             for role, block in t.blocks.items()
         },
-        "density": _plain(t.density),
+        "density": _plain(t.density, memo),
         "status": t.status,
         "level": t.level,
         "partner": list(t.partner) if t.partner else None,
@@ -494,7 +510,7 @@ def _term_row(t) -> dict:
     }
 
 
-def _group_row(g) -> dict:
+def _group_row(g, memo: dict) -> dict:
     return {
         "index": g.index,
         "label": g.label,
@@ -504,12 +520,13 @@ def _group_row(g) -> dict:
         "sign": g.sign,
         "raw_index": g.raw_index,
         "composite_sign": g.composite_sign,
-        "density": _plain(g.density),
+        "density": _plain(g.density, memo),
         "pieces": [t.label for t in g.pieces],
     }
 
 
 def trace_report_to_json(report) -> dict:
+    memo: dict = {}  # shared by every density of the report (see _plain)
     sections = {}
     for name, terms, groups in (
         ("lhs", report.lhs_terms, report.lhs_groups),
@@ -517,24 +534,24 @@ def trace_report_to_json(report) -> dict:
         ("rhs2", report.rhs2_terms, report.rhs2_groups),
     ):
         sections[name] = {
-            "terms": [_term_row(t) for t in terms],
-            "groups": [_group_row(g) for g in groups],
+            "terms": [_term_row(t, memo) for t in terms],
+            "groups": [_group_row(g, memo) for g in groups],
         }
     return {
         "labels": list(report.labels),
         "parities": dict(report.parities),
         "eq_sign": report.eq_sign,
         "verdict": report.verdict,
-        "residue": _plain(report.residue),
+        "residue": _plain(report.residue, memo),
         "ledger": {str(k): v for k, v in report.ledger.items()},
         "rhs2_relabel": {str(k): v for k, v in report.rhs2_relabel.items()},
         "matches": [list(m) for m in report.matches],
         "cancellation_pairs": [list(p) for p in report.cancellation_pairs],
         "bracket_check": dict(report.bracket_check),
         "totals": {
-            "lhs": _plain(report.lhs_total),
-            "rhs1": _plain(report.rhs1_total),
-            "rhs2": _plain(report.rhs2_total),
+            "lhs": _plain(report.lhs_total, memo),
+            "rhs1": _plain(report.rhs1_total, memo),
+            "rhs2": _plain(report.rhs2_total, memo),
         },
         "sections": sections,
     }
@@ -546,13 +563,14 @@ def format_trace_report(report, style: str = "plain") -> str:
         return _dumps(trace_report_to_json(report))
     if style != "plain":
         raise ValueError(f"unknown format {style!r}")
+    memo: dict = {}  # shared by every density of the report (see _plain)
     p = report.parities
     lines = [
         "shifted-graded Jacobi trace",
         f"functionals: F={report.labels[0]}  G={report.labels[1]}  H={report.labels[2]}",
         f"parities: F={p['F']} G={p['G']} H={p['H']}   eq-sign: {report.eq_sign:+d}",
         f"verdict: {report.verdict}",
-        f"residue: {_plain(report.residue)}",
+        f"residue: {_plain(report.residue, memo)}",
     ]
     for name, terms in (
         ("lhs", report.lhs_terms),
@@ -563,7 +581,7 @@ def format_trace_report(report, style: str = "plain") -> str:
         lines.append(f"{name} ({n} piece{'s' if n != 1 else ''}):")
         for t in terms:
             partner = f" -> {t.partner[0]}:{t.partner[1]}" if t.partner else ""
-            lines.append(f"  <{t.label}> {t.status}{partner}  {_plain(t.density)}")
+            lines.append(f"  <{t.label}> {t.status}{partner}  {_plain(t.density, memo)}")
     lines.append(
         "reorder signs: "
         + "  ".join(f"{{{k}}}:{v:+d}" for k, v in sorted(report.ledger.items()))

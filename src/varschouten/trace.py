@@ -197,27 +197,34 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     if not (F.ctx is G.ctx is H.ctx):
         raise ValueError("functionals belong to different field contexts")
     ctx = F.ctx
-    roles = {"F": F, "G": G, "H": H}
-    parities = {r: functional_parity(roles[r]) for r in ROLES}
+    parities = {r: functional_parity(X) for r, X in zip(ROLES, (F, G, H))}
     ledger = reorder_sign_ledger(parities["F"], parities["G"])
+    # Every piece is trilinear in (F, G, H), one factor from each role, so the
+    # expansion runs on the primitive parts (int coefficients) and each
+    # reported density is scaled once, by its sign times the three contents.
+    split = [X.density.content_and_primitive() for X in (F, G, H)]
+    prims = {r: Functional(p, X.label) for r, (_, p), X in zip(ROLES, split, (F, G, H))}
+    content = split[0][0] * split[1][0] * split[2][0]
 
     # module globals looked up at call time, so wrappers of them see every call
     @cache
     def blocks(role, owner, side):
-        return euler_blocks(roles[role].density, owner, side)
+        return euler_blocks(prims[role].density, owner, side)
 
     @cache
     def cells(role, w1, s1, w2, s2):
-        return second_variation_cells(roles[role].density, w1, s1, w2, s2)
+        return second_variation_cells(prims[role].density, w1, s1, w2, s2)
 
     groups: dict[str, list[TraceGroup]] = {}
     pieces: dict[str, list[TraceTerm]] = {}
     group_by_coords: dict[tuple, TraceGroup] = {}
     piece_by_key: dict[tuple, TraceTerm] = {}
+    primitive_totals: dict[str, Expression] = {}
 
     for sect in SECTIONS:
         groups[sect.name] = sec_groups = []
         pieces[sect.name] = sec_pieces = []
+        sec_total: dict = {}
         for index, spec in enumerate(_group_specs(sect, ctx, parities), 1):
             struck, cof_role = spec.struck[0], spec.cofactor[0]
             _, f_o, _, f_i, target = spec.coords
@@ -226,18 +233,20 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             if sect.name == "rhs2":
                 raw_index = 4 * f_o + 2 * f_i + target + 1
                 composite_sign = ledger[raw_index]
+            scale = spec.scalar * content
             group_pieces = []
+            group_total: dict = {}
             for sig_p, val_p in blocks(*spec.outer):
                 for sig_c, val_c in blocks(*spec.cofactor):
                     for cell, val_cell in cells(*spec.struck):
                         first, second = (val_cell, val_c) if target == 0 else (val_c, val_cell)
                         if sect.composite_second:
-                            dens = val_p * first * second
+                            raw = val_p * first * second
                         else:
-                            dens = first * second * val_p
-                        dens = dens.scale(spec.scalar)
-                        if dens.is_zero():
+                            raw = first * second * val_p
+                        if raw.is_zero():
                             continue
+                        _accumulate(group_total, raw, 1)
                         piece = TraceTerm(
                             section=sect.name,
                             position=len(sec_pieces) + 1,
@@ -248,12 +257,14 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                             sign=spec.scalar,
                             cell=cell,
                             blocks={sect.P: sig_p, cof_role: sig_c, struck: None},
-                            density=dens,
+                            density=_scaled(raw, scale),
                             composite_sign=composite_sign,
                         )
                         sec_pieces.append(piece)
                         group_pieces.append(piece)
                         piece_by_key[_piece_key(piece)] = piece
+            group_raw = Expression(ctx, group_total)
+            _accumulate(sec_total, group_raw, spec.scalar)
             group = TraceGroup(
                 section=sect.name,
                 index=index,
@@ -261,13 +272,14 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                 struck=struck,
                 role=role,
                 sign=spec.scalar,
-                density=_total(group_pieces, ctx),
+                density=_scaled(group_raw, scale),
                 pieces=group_pieces,
                 raw_index=raw_index,
                 composite_sign=composite_sign,
             )
             sec_groups.append(group)
             group_by_coords[(sect.name,) + spec.coords] = group
+        primitive_totals[sect.name] = Expression(ctx, sec_total)
 
     _assign_group_labels(groups, group_by_coords)
 
@@ -308,10 +320,10 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     unresolved = any(
         piece.status == "unresolved" for sec in pieces.values() for piece in sec
     )
-    totals = {
-        name: _total(pieces[name], ctx) for name in ("lhs", "rhs1", "rhs2")
-    }
-    residue = totals["lhs"] - totals["rhs1"] - totals["rhs2"]
+    primitive_residue = (
+        primitive_totals["lhs"] - primitive_totals["rhs1"] - primitive_totals["rhs2"]
+    )
+    totals = {name: _scaled(t, content) for name, t in primitive_totals.items()}
 
     report = TraceReport(
         labels=(F.label or "F", G.label or "G", H.label or "H"),
@@ -328,11 +340,13 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
         ledger=ledger,
         rhs2_relabel=_relabel_map(groups["rhs2"], ctx),
         verdict="unresolved" if unresolved else "verified",
-        residue=residue,
+        residue=_scaled(primitive_residue, content),
         lhs_total=totals["lhs"],
         rhs1_total=totals["rhs1"],
         rhs2_total=totals["rhs2"],
-        bracket_check=_bracket_check(F, G, H, residue),
+        bracket_check=_bracket_check(
+            prims["F"], prims["G"], prims["H"], primitive_residue
+        ),
     )
     return report
 
@@ -391,12 +405,15 @@ def _assign_group_labels(groups, group_by_coords):
             g.label = group_by_coords[_partner_coords(g.section, g.struck, g.coords)].label
 
 
-def _total(items, ctx) -> Expression:
-    out: dict = {}
-    for piece in items:
-        for key, c in piece.density.terms.items():
-            _add_term(out, key, c)
-    return Expression(ctx, out)
+def _accumulate(out: dict, e: Expression, sign: int) -> None:
+    """Add sign * e (sign +-1) into the term dict out."""
+    for key, c in e.terms.items():
+        _add_term(out, key, c if sign > 0 else -c)
+
+
+def _scaled(e: Expression, k) -> Expression:
+    """k * e; e itself when k is 1 (every density scaled here is built fresh)."""
+    return e if k == 1 else e.scale(k)
 
 
 def _relabel_map(rhs2_groups, ctx) -> dict:
@@ -423,6 +440,9 @@ def _bracket_check(F, G, H, residue) -> dict:
     the same combination of plain iterated brackets, and "joint" for the
     difference of the two combinations.  When either combination is zero the
     difference is the other one up to sign, whose level is already known.
+    Scaling F, G and H by a, b and c scales both combinations by abc and
+    changes no level, so the trace passes its primitive triple and the
+    residue of their expansion.
     """
     plain_defect = jacobi_defect(F, G, H).density
     levels = {"residue": _level(residue), "plain_defect": _level(plain_defect)}

@@ -301,7 +301,7 @@ class TestPrimitivePart:
         for e in samples:
             if e.is_zero():
                 continue
-            prim = e.primitive_part()
+            content, prim = e.content_and_primitive()
             coeffs = list(prim.terms.values())
             assert all(type(c) is int for c in coeffs)
             assert math.gcd(*coeffs) == 1
@@ -309,14 +309,17 @@ class TestPrimitivePart:
             ratio = Fraction(prim.terms[key]) / e.terms[key]
             assert ratio > 0
             assert prim == e.scale(ratio)
+            assert content == 1 / ratio
+            assert prim.scale(content) == e
 
     def test_primitive_input_is_returned_as_is(self, ctx):
         zero = Expression.zero(ctx)
-        assert zero.primitive_part() is zero
+        assert zero.content_and_primitive() == (1, zero)
+        assert zero.content_and_primitive()[1] is zero
         e = parse_density("3*q*q[2] - 2*p*q[1]", ctx)
-        assert e.primitive_part() is e
-        assert parse_density("-q", ctx).primitive_part() == parse_density("-q", ctx)
-        assert e.scale(Fraction(-5, 6)).primitive_part() == -e
+        assert e.content_and_primitive()[1] is e
+        assert parse_density("-q", ctx).content_and_primitive() == (1, parse_density("-q", ctx))
+        assert e.scale(Fraction(-5, 6)).content_and_primitive() == (Fraction(5, 6), -e)
 
 
 def _integral_fractions(exprs):

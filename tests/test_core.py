@@ -19,7 +19,7 @@ from varschouten import (
     parse_density,
     sin,
 )
-from varschouten.core import normalize_order
+from varschouten.core import _insert_unit, _merge_units, normalize_order
 
 
 class TestFieldContext:
@@ -205,3 +205,27 @@ class TestJetHelpers:
         for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(clone) is JetVar and clone == v
             assert (clone.owner, clone.order) == (0, (1,))
+
+
+class TestInsertUnit:
+    JET_UNITS = ((JetVar(1, (1,)), 1), (JetVar(1, (3,)), 2), (JetVar(2, (0,)), 1))
+    FUNC_UNITS = ((("cos", 3), 1), (("exp", 0), 2), (("sin", 1), 1))
+
+    @pytest.mark.parametrize(
+        "units, atom",
+        [
+            (JET_UNITS, JetVar(0, (5,))),  # first
+            (JET_UNITS, JetVar(1, (2,))),  # middle
+            (JET_UNITS, JetVar(4, (0,))),  # last
+            (JET_UNITS, JetVar(1, (3,))),  # present: its power rises
+            (JET_UNITS, JetVar(1, (1,))),
+            ((), JetVar(0, (0,))),
+            (FUNC_UNITS, ("cos", 0)),  # first
+            (FUNC_UNITS, ("exp", 2)),  # middle
+            (FUNC_UNITS, ("sin", 4)),  # last
+            (FUNC_UNITS, ("exp", 0)),  # present
+            (FUNC_UNITS, ("sin", 1)),
+        ],
+    )
+    def test_agrees_with_merging_one_unit(self, units, atom):
+        assert _insert_unit(units, atom) == _merge_units(units, ((atom, 1),))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import varschouten
-from varschouten import fuzz, format_density, is_exact, jacobi_defect, parse_density
+from varschouten import cli, fuzz, format_density, is_exact, jacobi_defect, parse_density
 from varschouten.cli import main
 from varschouten.fuzz import FuzzParams
 from varschouten.textio import MAX_DIGITS, MAX_EXPONENT, MAX_JET_ORDER, MAX_NESTING
@@ -377,6 +377,15 @@ class TestErrorHandling:
         code, _, err = run([], capsys)
         assert code == 2
         assert "usage:" in err
+
+    def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("kernel invariant broken")
+
+        monkeypatch.setitem(cli._DISPATCH, "normalize", broken)
+        code, out, err = run(["normalize", "--density", "q"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: internal error: RuntimeError: kernel invariant broken\n"
 
 
 def test_module_entry_point():

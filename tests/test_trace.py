@@ -1,7 +1,9 @@
 """Labeled expansion of the graded Jacobi identity and its bookkeeping."""
 
 import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,7 @@ from varschouten import (
     trace,
 )
 from varschouten.fuzz import FuzzParams, random_functional, trial_seed
+from varschouten.core import Expression
 from varschouten.textio import format_density, format_trace_report
 
 
@@ -282,3 +285,92 @@ def test_fuzzed_trace_json_is_byte_stable(text, max_jet_order, json_digests, pla
 @_FUZZED
 def test_fuzzed_trace_plain_is_byte_stable(text, max_jet_order, json_digests, plain_digests):
     assert _fuzzed_digests(text, max_jet_order, len(plain_digests), "plain") == plain_digests
+
+
+def _trial_triple(ctx, index):
+    rng = random.Random(trial_seed(2026, index))
+    return [random_functional(ctx, rng, FuzzParams(seed=2026), r) for r in "FGH"]
+
+
+def _report_densities(rep):
+    groups = rep.lhs_groups + rep.rhs1_groups + rep.rhs2_groups
+    return (
+        [t.density for t in rep.lhs_terms + rep.rhs1_terms + rep.rhs2_terms]
+        + [g.density for g in groups]
+        + [rep.lhs_total, rep.rhs1_total, rep.rhs2_total, rep.residue]
+    )
+
+
+def _bookkeeping(rep):
+    pieces = rep.lhs_terms + rep.rhs1_terms + rep.rhs2_terms
+    groups = rep.lhs_groups + rep.rhs1_groups + rep.rhs2_groups
+    return (
+        [(t.section, t.label, t.status, t.level, t.partner, t.sign, t.cell, t.blocks) for t in pieces],
+        [(g.section, g.index, g.label, [t.label for t in g.pieces]) for g in groups],
+        rep.matches,
+        rep.cancellation_pairs,
+        rep.verdict,
+        rep.bracket_check,
+        rep.parities,
+    )
+
+
+@pytest.mark.parametrize("zero_role", [None, 2], ids=["three functionals", "zero H"])
+@pytest.mark.parametrize("spoil", [False, True], ids=["as drawn", "spoiled"])
+def test_trace_is_trilinear(monkeypatch, ctx, zero_role, spoil):
+    # every piece is one factor of each role times +-1, so scaling F, G, H by
+    # a, b, c scales every reported density by a*b*c and changes no bookkeeping
+    if spoil:  # a cell scaled by -3/2 leaves a nonzero residue that is not exact
+        original = trace.second_variation_cells
+
+        def spoiled(e, w1, s1, w2, s2):
+            cells = original(e, w1, s1, w2, s2)
+            if (w1, s1, w2, s2) == (0, "left", 1, "left"):
+                return [(cell, value.scale(Fraction(-3, 2))) for cell, value in cells]
+            return cells
+
+        monkeypatch.setattr(trace, "second_variation_cells", spoiled)
+    triple = _trial_triple(ctx, 0)
+    if zero_role is not None:
+        triple[zero_role] = Functional(Expression.zero(ctx), "Z")
+    factors = (Fraction(-2, 3), 5, Fraction(7, 11))
+    scaled = [Functional(X.density.scale(k), X.label) for X, k in zip(triple, factors)]
+    before, after = expand_trace(*triple), expand_trace(*scaled)
+    assert _bookkeeping(after) == _bookkeeping(before)
+    abc = factors[0] * factors[1] * factors[2]
+    want = [d.scale(abc) for d in _report_densities(before)]
+    assert _report_densities(after) == want
+    if zero_role is None:
+        assert any(type(c) is Fraction for d in want for c in d.terms.values())
+        assert before.verdict == ("unresolved" if spoil else "verified")
+        assert (before.bracket_check["residue"] == "mismatch") is spoil
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("p * q * q[2]", "p[1] * exp(q[1])", "p[2] * cos(q)"),
+        ("q^2", "p", "p"),
+        ("q*p", "q", "p"),
+        ("q*p", "2*q*q[1]^2 - 3*q[2]*q", "p*q[1] - q*p[2]"),
+    ],
+    ids=["golden", "constants", "unit constants", "mixed"],
+)
+def test_trace_report_renders_each_density_as_alone(ctx, texts):
+    # one report renders many densities through one memo of monomial texts;
+    # each must read exactly as the density rendered on its own
+    rep = expand_trace(*(Functional(parse_density(t, ctx), r) for t, r in zip(texts, "FGH")))
+    assert rep.rhs1_terms
+    doc = json.loads(format_trace_report(rep, "json"))
+    for name in ("lhs", "rhs1", "rhs2"):
+        rows = doc["sections"][name]
+        for row, t in zip(rows["terms"], getattr(rep, f"{name}_terms"), strict=True):
+            assert row["density"] == format_density(t.density)
+        for row, g in zip(rows["groups"], getattr(rep, f"{name}_groups"), strict=True):
+            assert row["density"] == format_density(g.density)
+        assert doc["totals"][name] == format_density(getattr(rep, f"{name}_total"))
+    assert doc["residue"] == format_density(rep.residue)
+    plain = format_trace_report(rep, "plain").splitlines()
+    pieces = [line for line in plain if line.startswith("  <")]
+    terms = rep.lhs_terms + rep.rhs1_terms + rep.rhs2_terms
+    assert [line.split("  ", 2)[2] for line in pieces] == [format_density(t.density) for t in terms]

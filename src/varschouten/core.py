@@ -366,17 +366,7 @@ class Expression:
         factor = _demote(Fraction(factor))
         if not factor:
             return Expression(self.ctx)
-        if type(factor) is int:
-            return Expression(self.ctx, {k: _demote(c * factor) for k, c in self.terms.items()})
-        # an int coefficient makes one normalizing Fraction, not an int-to-Fraction product
-        n, d = factor.numerator, factor.denominator
-        return Expression(
-            self.ctx,
-            {
-                k: _demote(Fraction(c * n, d) if type(c) is int else c * factor)
-                for k, c in self.terms.items()
-            },
-        )
+        return Expression(self.ctx, {k: _demote(c * factor) for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

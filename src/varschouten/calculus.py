@@ -17,7 +17,7 @@ from .core import (
     _add_term,
     _insert_unit,
     _merge_odd,
-    _mul_keys,
+    _merge_units,
     eval_zero_section,
 )
 
@@ -32,19 +32,57 @@ def _lower_power(units: tuple, i: int) -> tuple:
     return units[:i] + ((atom, p - 1),) + units[i + 1 :]
 
 
+def _odd_strikes(odd: tuple, owner: int, side: Side) -> list:
+    """[(v, odd without v, sign)] over the owner's jets; the sign is
+    (-1)^(odd jets v crosses on its way to the `side` end)."""
+    n = len(odd)
+    return [
+        (jv, odd[:i] + odd[i + 1 :], -1 if (i if side == "left" else n - i - 1) % 2 else 1)
+        for i, jv in enumerate(odd)
+        if jv.owner == owner
+    ]
+
+
+def _func_strikes(ctx, funcs: tuple, owner: int, side: Side) -> list:
+    """The chain-rule summands of the function units' partials along one owner.
+
+    Each entry (v, even', funcs', odd', c) is one monomial k2 of d arg / dv
+    times f'(arg) and the other function units: the key _mul_keys(k2, base)
+    of a monomial (even, funcs, odd) is (even' + even, funcs', odd' + odd),
+    with the odd merge sign, and its coefficient is c times the monomial's.
+    """
+    out = []
+    for i, ((kind, aid), p) in enumerate(funcs):
+        d_arg = ctx._arg_partials.get((aid, owner, side))
+        if d_arg is None:
+            d_arg = ctx._arg_partials[(aid, owner, side)] = _partials(ctx.arg(aid), owner, side)
+        if not d_arg:
+            continue
+        dkind, sgn = FUNC_DERIVATIVE[kind]
+        base = _insert_unit(_lower_power(funcs, i), (dkind, aid))
+        for v, d in d_arg.items():
+            for (k_even, k_funcs, k_odd), c2 in d.terms.items():
+                out.append((v, k_even, _merge_units(k_funcs, base), k_odd, p * sgn * c2))
+    return out
+
+
 def _partials(e: Expression, owner: int, side: Side) -> dict:
     """Every directed partial of e along the jets of one owner, in one sweep.
 
     Returns {v: d e / dv} over the nonzero partials, the struck JetVar v
-    ascending.  Each monomial key is edited directly: an even jet has its
+    ascending.  The partial is a graded derivation, so each monomial's
+    summands come from its three key components apart: an even jet has its
     power lowered, an odd jet is struck with (-1)^(odd jets crossed on the way
     to the `side` end), and a function factor f(arg) becomes f'(arg) times the
-    (cached) sweep of its argument, placed in front of the rest of the monomial.
+    sweep of its argument, placed in front of the rest of the monomial.  The
+    strikes of the odd part and of the function part are cached in the
+    context per (owner, side), as total_derivative caches their raises.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     ctx = e.ctx
     odd_owner = ctx.parities[owner]
+    strike_odd, strike_funcs = ctx._strike_odd, ctx._strike_funcs
     outs: dict = {}
     for (even, funcs, odd), coeff in e.terms.items():
         if not odd_owner:
@@ -53,30 +91,23 @@ def _partials(e: Expression, owner: int, side: Side) -> dict:
                     key = (_lower_power(even, i), funcs, odd)
                     _add_term(outs.setdefault(jv, {}), key, coeff * p)
         else:
-            for i, jv in enumerate(odd):
-                if jv.owner == owner:
-                    crossed = i if side == "left" else len(odd) - i - 1
-                    key = (even, funcs, odd[:i] + odd[i + 1 :])
-                    c = -coeff if crossed % 2 else coeff
-                    _add_term(outs.setdefault(jv, {}), key, c)
-        for i, ((kind, aid), p) in enumerate(funcs):
-            d_arg = ctx._arg_partials.get((aid, owner, side))
-            if d_arg is None:
-                d_arg = _partials(ctx.arg(aid), owner, side)
-                ctx._arg_partials[(aid, owner, side)] = d_arg
-            if not d_arg:
-                continue
-            dkind, sgn = FUNC_DERIVATIVE[kind]
-            base = (even, _insert_unit(_lower_power(funcs, i), (dkind, aid)), odd)
-            c = coeff * p * sgn
+            got = strike_odd.get((odd, owner, side))
+            if got is None:
+                got = strike_odd[(odd, owner, side)] = _odd_strikes(odd, owner, side)
+            for jv, rest, sign in got:
+                _add_term(outs.setdefault(jv, {}), (even, funcs, rest), coeff * sign)
+        if funcs:
+            got = strike_funcs.get((funcs, owner, side))
+            if got is None:
+                got = strike_funcs[(funcs, owner, side)] = _func_strikes(ctx, funcs, owner, side)
+            c = coeff
             if odd_owner and side == "right" and len(odd) % 2:
                 c = -c  # the odd d(arg) crosses every odd jet on its way right
-            for v, d in d_arg.items():
-                out = outs.setdefault(v, {})
-                for k2, c2 in d.terms.items():
-                    prod = _mul_keys(k2, base)
-                    if prod is not None:
-                        _add_term(out, prod[0], c * c2 * prod[1])
+            for v, k_even, k_funcs, k_odd, c2 in got:
+                merged = _merge_odd(k_odd, odd)
+                if merged is not None:
+                    key = (_merge_units(k_even, even), k_funcs, merged[0])
+                    _add_term(outs.setdefault(v, {}), key, c * c2 * merged[1])
     return {v: Expression(ctx, outs[v]) for v in sorted(outs) if outs[v]}
 
 
@@ -106,43 +137,76 @@ def _func_chain(ctx, kind, aid, direction) -> Expression:
     return got
 
 
+def _raise_odd(odd: tuple, direction: int) -> list:
+    """[(odd with one jet raised along direction, sign)] over the nonzero summands.
+
+    The struck jet moves to the right end with (-1)^(odd jets crossed) and its
+    raised jet merges back into place; a repeated odd jet kills the summand.
+    """
+    out = []
+    for i, jv in enumerate(odd):
+        up = JetVar(jv.owner, _bump(jv.order, direction))
+        merged = _merge_odd(odd[:i] + odd[i + 1 :], (up,))
+        if merged is not None:
+            out.append((merged[0], -merged[1] if (len(odd) - i - 1) % 2 else merged[1]))
+    return out
+
+
+def _raise_funcs(ctx, funcs: tuple, direction: int) -> list:
+    """[(even', funcs', odd', c)]: each function unit's chain-rule summands.
+
+    For a monomial (even, funcs, odd) the summand's key is
+    (even + even', funcs', odd + odd') with the odd merge sign, and its
+    coefficient is c times the monomial's.
+    """
+    out = []
+    for i, ((kind, aid), p) in enumerate(funcs):
+        rest = _lower_power(funcs, i)
+        for (k_even, k_funcs, k_odd), c2 in _func_chain(ctx, kind, aid, direction).terms.items():
+            out.append((k_even, _merge_units(rest, k_funcs), k_odd, p * c2))
+    return out
+
+
 def total_derivative(e: Expression, direction: int = 0) -> Expression:
     """The even derivation D_direction raising jet orders by the chain rule.
 
-    Like the partial sweep, each summand strikes one unit of the sorted key
-    and merges its derivative back in: a lowered even power merges with the
-    raised jet, and a struck odd jet moves to the right end with
-    (-1)^(odd jets crossed) before its raised jet merges into place.  Being
-    even, D adds no sign of its own; a repeated odd jet kills the summand.
+    By the Leibniz rule D(even*funcs*odd) is D(even)*funcs*odd +
+    even*D(funcs)*odd + even*funcs*D(odd).  An even summand lowers one power
+    and inserts the raised jet, built once per call.  The function and odd
+    parts of the keys repeat across nearly every monomial, so the context
+    caches their derivatives per direction: a raised odd part is a whole key
+    component, and a chain-rule summand costs one merge with the even part
+    and one with the odd part.  Even parts are not cached: they repeat less
+    and are far more numerous, so their cache would hold every distinct even
+    part that a context has met.  Being even, D adds no sign of its own.
     """
     ctx = e.ctx
     if not 0 <= direction < ctx.n_indep:
         raise ValueError(f"direction {direction} out of range")
+    raised_odd, raised_funcs = ctx._raised_odd, ctx._raised_funcs
     out: dict = {}
-    raised: dict = {}  # jet -> its D_direction, built once per call
-
-    def up(jv):
-        got = raised.get(jv)
-        if got is None:
-            got = raised[jv] = JetVar(jv.owner, _bump(jv.order, direction))
-        return got
-
+    up: dict = {}  # jet -> its D_direction, built once per call
     for (even, funcs, odd), coeff in e.terms.items():
         for i, (jv, p) in enumerate(even):
-            key = (_insert_unit(_lower_power(even, i), up(jv)), funcs, odd)
-            _add_term(out, key, coeff * p)
-        for i, ((kind, aid), p) in enumerate(funcs):
-            chain = _func_chain(ctx, kind, aid, direction)
-            base = (even, _lower_power(funcs, i), odd)
-            for k2, c2 in chain.terms.items():
-                prod = _mul_keys(base, k2)
-                if prod is not None:
-                    _add_term(out, prod[0], coeff * p * c2 * prod[1])
-        for i, jv in enumerate(odd):
-            merged = _merge_odd(odd[:i] + odd[i + 1 :], (up(jv),))
-            if merged is not None:
-                c = coeff * merged[1]
-                _add_term(out, (even, funcs, merged[0]), -c if (len(odd) - i - 1) % 2 else c)
+            jv_up = up.get(jv)
+            if jv_up is None:
+                jv_up = up[jv] = JetVar(jv.owner, _bump(jv.order, direction))
+            _add_term(out, (_insert_unit(_lower_power(even, i), jv_up), funcs, odd), coeff * p)
+        if funcs:
+            got = raised_funcs.get((funcs, direction))
+            if got is None:
+                got = raised_funcs[(funcs, direction)] = _raise_funcs(ctx, funcs, direction)
+            for k_even, k_funcs, k_odd, c in got:
+                merged = _merge_odd(odd, k_odd)
+                if merged is not None:
+                    key = (_merge_units(even, k_even), k_funcs, merged[0])
+                    _add_term(out, key, coeff * c * merged[1])
+        if odd:
+            got = raised_odd.get((odd, direction))
+            if got is None:
+                got = raised_odd[(odd, direction)] = _raise_odd(odd, direction)
+            for raised, sign in got:
+                _add_term(out, (even, funcs, raised), coeff * sign)
     return Expression(ctx, out)
 
 

@@ -65,8 +65,10 @@ class FieldContext:
 
     Owners are numbered in declaration order: the k-th field is 2k and its
     antifield 2k+1, whose parity is the field parity flipped.  The
-    context also owns the hash-cons table for function-factor arguments and
-    the caches of their derivatives and of their plain text.
+    context also owns the hash-cons table for function-factor arguments, the
+    caches of their derivatives and of their plain text, and the caches of
+    the total derivative and the directed partials of the odd part and the
+    function part of monomial keys, which the calculus fills.
     """
 
     def __init__(
@@ -106,6 +108,19 @@ class FieldContext:
         self._arg_partials: dict[tuple[int, int, str], dict] = {}
         # (kind, arg_id, direction) -> f'(arg) * D_direction(arg)
         self._func_chain: dict[tuple[str, int, int], "Expression"] = {}
+        # derivative caches of the odd part and the function part of monomial
+        # keys, filled by the calculus.  Both derivations obey the Leibniz
+        # rule, so a monomial's summands are built from the cached lists of
+        # these two components (see calculus.total_derivative and _partials).
+        # Even parts are not cached: they are far more numerous.
+        # (odd, direction) -> [(raised odd part, sign)]
+        self._raised_odd: dict[tuple, list] = {}
+        # (funcs, direction) -> [(even', merged funcs, odd', coefficient)]
+        self._raised_funcs: dict[tuple, list] = {}
+        # (odd, owner, side) -> [(struck JetVar, remaining odd part, sign)]
+        self._strike_odd: dict[tuple, list] = {}
+        # (funcs, owner, side) -> [(struck JetVar, even', funcs', odd', coefficient)]
+        self._strike_funcs: dict[tuple, list] = {}
         # arg_id -> plain text of the argument, filled by textio
         self._arg_plain: dict[int, str] = {}
 
@@ -299,6 +314,12 @@ def _add_term(out: dict, key, c) -> None:
         del out[key]
 
 
+def _accumulate(out: dict, e: "Expression", sign: int) -> None:
+    """Add sign * e (sign +-1) into the term dict out."""
+    for key, c in e.terms.items():
+        _add_term(out, key, c if sign > 0 else -c)
+
+
 class Expression:
     """A density in canonical form: dict of term keys to rational coefficients.
 
@@ -352,12 +373,14 @@ class Expression:
     def __add__(self, other: "Expression") -> "Expression":
         self._require_same_ctx(other)
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(out, key, c)
+        _accumulate(out, other, 1)
         return Expression(self.ctx, out)
 
     def __sub__(self, other: "Expression") -> "Expression":
-        return self + (-other)
+        self._require_same_ctx(other)
+        out = dict(self.terms)
+        _accumulate(out, other, -1)
+        return Expression(self.ctx, out)
 
     def __neg__(self) -> "Expression":
         return Expression(self.ctx, {k: -c for k, c in self.terms.items()})

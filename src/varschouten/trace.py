@@ -22,7 +22,7 @@ from operator import add
 from typing import Optional, Union
 
 from .calculus import _partials, euler_blocks, is_exact, iterated_derivative
-from .core import Expression, _add_term
+from .core import Expression, _accumulate
 from .functional import Functional, functional_parity
 from .schouten import _sign, eq1_sign, jacobi_defect, reorder_sign_ledger
 
@@ -236,14 +236,23 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             scale = spec.scalar * content
             group_pieces = []
             group_total: dict = {}
-            for sig_p, val_p in blocks(*spec.outer):
-                for sig_c, val_c in blocks(*spec.cofactor):
-                    for cell, val_cell in cells(*spec.struck):
+            # The left two-factor product of a piece does not depend on the
+            # loop over its third factor, so it is built once per group,
+            # keyed by the operands' positions in the block and cell lists.
+            heads: dict = {}
+            for ip, (sig_p, val_p) in enumerate(blocks(*spec.outer)):
+                for ic, (sig_c, val_c) in enumerate(blocks(*spec.cofactor)):
+                    for ix, (cell, val_cell) in enumerate(cells(*spec.struck)):
                         first, second = (val_cell, val_c) if target == 0 else (val_c, val_cell)
-                        if sect.composite_second:
-                            raw = val_p * first * second
-                        else:
-                            raw = first * second * val_p
+                        if sect.composite_second:  # (val_p * first) * second
+                            at = (ip, ix if target == 0 else ic)
+                            left, right, last = val_p, first, second
+                        else:  # (first * second) * val_p
+                            at, left, right, last = (ic, ix), first, second, val_p
+                        head = heads.get(at)
+                        if head is None:
+                            head = heads[at] = left * right
+                        raw = head * last
                         if raw.is_zero():
                             continue
                         _accumulate(group_total, raw, 1)
@@ -403,12 +412,6 @@ def _assign_group_labels(groups, group_by_coords):
             cancel_label += 1
         else:
             g.label = group_by_coords[_partner_coords(g.section, g.struck, g.coords)].label
-
-
-def _accumulate(out: dict, e: Expression, sign: int) -> None:
-    """Add sign * e (sign +-1) into the term dict out."""
-    for key, c in e.terms.items():
-        _add_term(out, key, c if sign > 0 else -c)
 
 
 def _scaled(e: Expression, k) -> Expression:

@@ -1,0 +1,186 @@
+"""Property tests of the two derivations and of their per-context caches.
+
+Densities are drawn as recipes (plain data) and built in a context, so one
+recipe can be built in two contexts that intern function arguments in a
+different order.  Every recipe may hold odd jets and exp/sin/cos factors,
+whose arguments may hold pairs of odd jets.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from varschouten import (
+    Expression,
+    JetVar,
+    cos,
+    exp,
+    format_density,
+    jet,
+    jet_orders,
+    parse_context,
+    partial,
+    sin,
+    total_derivative,
+)
+from varschouten.calculus import _partials
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[hypothesis.HealthCheck.too_slow],
+)
+
+# context text and the largest total jet order drawn in it
+CONTEXTS = pytest.mark.parametrize(
+    "text, max_order",
+    [
+        ("indep x\nfield q even antifield p\n", 2),
+        ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 2),
+        ("indep x y\nfield q even antifield p\n", 1),
+        ("indep t\nfield psi odd antifield chi\n", 2),
+    ],
+    ids=["line", "pairs", "plane", "odd"],
+)
+
+FUNCS = {"exp": exp, "sin": sin, "cos": cos}
+COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+def _orders(n_indep, max_order):
+    return st.tuples(*[st.integers(0, max_order)] * n_indep).filter(
+        lambda o: sum(o) <= max_order
+    )
+
+
+@st.composite
+def _monomial(draw, ctx, max_order, parity, funcs=True):
+    owners = range(len(ctx.names))
+    even_owners = [o for o in owners if not ctx.parities[o]]
+    odd_owners = [o for o in owners if ctx.parities[o]]
+    orders = _orders(ctx.n_indep, max_order)
+    n_odd = draw(st.sampled_from([k for k in range(4) if k % 2 == parity]))
+    even_jet = st.tuples(st.sampled_from(even_owners), orders, st.integers(1, 2))
+    odd_jet = st.tuples(st.sampled_from(odd_owners), orders)
+    return (
+        draw(st.sampled_from(COEFFS)),
+        draw(st.lists(even_jet, max_size=2)),
+        draw(st.lists(odd_jet, min_size=n_odd, max_size=n_odd)),
+        draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(sorted(FUNCS)),
+                    st.lists(_monomial(ctx, max_order, 0, funcs=False), min_size=1, max_size=2),
+                    st.integers(1, 2),
+                ),
+                max_size=1 if funcs else 0,
+            )
+        ),
+    )
+
+
+def _recipe(ctx, max_order, parity):
+    """A homogeneous density of the given parity, as a list of monomial recipes."""
+    return st.lists(_monomial(ctx, max_order, parity), min_size=1, max_size=3)
+
+
+def _build(ctx, recipe) -> Expression:
+    total = Expression.zero(ctx)
+    for coeff, even, odd, funcs in recipe:
+        m = Expression.const(ctx, coeff)
+        for owner, order, power in even:
+            m = m * jet(ctx, owner, order) ** power
+        for kind, arg, power in funcs:
+            a = _build(ctx, arg)
+            if not a.is_zero():
+                m = m * FUNCS[kind](a) ** power
+        for owner, order in odd:
+            m = m * jet(ctx, owner, order)
+        total = total + m
+    return total
+
+
+def _pair(data, ctx, max_order):
+    parities = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    return tuple(
+        _build(ctx, data.draw(_recipe(ctx, max_order, parity))) for parity in parities
+    )
+
+
+@CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_total_derivative_leibniz_rule(text, max_order, data):
+    # D(ab) = D(a) b + a D(b): D is even, so no sign
+    ctx = parse_context(text)
+    a, b = _pair(data, ctx, max_order)
+    for d in range(ctx.n_indep):
+        want = total_derivative(a, d) * b + a * total_derivative(b, d)
+        assert total_derivative(a * b, d) == want
+
+
+@CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_partial_graded_leibniz_rule_both_sides(text, max_order, data):
+    # dL(ab) = dL(a) b + (-1)^(|v||a|) a dL(b);  dR(ab) = a dR(b) + (-1)^(|v||b|) dR(a) b
+    ctx = parse_context(text)
+    a, b = _pair(data, ctx, max_order)
+    ab = a * b
+    for owner in range(len(ctx.names)):
+        vp = ctx.parities[owner]
+        for sigma in jet_orders(a, owner) | jet_orders(b, owner):
+            v = JetVar(owner, sigma)
+            left = partial(a, v, "left") * b + (a * partial(b, v, "left")).scale(
+                -1 if vp * a.parity % 2 else 1
+            )
+            right = a * partial(b, v, "right") + (partial(a, v, "right") * b).scale(
+                -1 if vp * b.parity % 2 else 1
+            )
+            assert partial(ab, v, "left") == left
+            assert partial(ab, v, "right") == right
+
+
+def _derivatives(e: Expression, text: bool, backwards: bool = False) -> dict:
+    """Every total derivative and directed partial sweep of e, each as its
+    terms in stored order, or as plain text when `text` is set (the display
+    order, which does not depend on interning history).  `backwards` asks
+    for them in the opposite order, so a cache entry filled for one
+    direction, owner or side is read first by another."""
+    ctx = e.ctx
+    show = format_density if text else (lambda d: list(d.terms.items()))
+    asks = [("D", d) for d in range(ctx.n_indep)]
+    asks += [(owner, side) for owner in range(len(ctx.names)) for side in ("left", "right")]
+    out = {}
+    for ask in reversed(asks) if backwards else asks:
+        if ask[0] == "D":
+            out[ask] = show(total_derivative(e, ask[1]))
+        else:
+            out[ask] = [(v, show(d)) for v, d in _partials(e, *ask).items()]
+    return out
+
+
+@CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_component_caches_do_not_change_results(text, max_order, data):
+    # A cold context, the same context once its caches are warm, and a
+    # context that interned the same function arguments in the other order.
+    shape = parse_context(text)
+    recipes = [data.draw(_recipe(shape, max_order, parity)) for parity in (0, 1)]
+    ctx = parse_context(text)
+    a, b = (_build(ctx, r) for r in recipes)
+    densities = (a, b, a * b)
+    cold = [_derivatives(e, False) for e in densities]
+    assert [_derivatives(e, False) for e in densities] == cold
+
+    other = parse_context(text)
+    b2 = _build(other, recipes[1])
+    a2 = _build(other, recipes[0])
+    for e, e2 in zip(densities, (a2, b2, a2 * b2)):
+        assert _derivatives(e, True) == _derivatives(e2, True, backwards=True)

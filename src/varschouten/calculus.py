@@ -8,6 +8,7 @@ and the exactness test characterizing total divergences.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Union
 
 from .core import (
@@ -32,83 +33,129 @@ def _lower_power(units: tuple, i: int) -> tuple:
     return units[:i] + ((atom, p - 1),) + units[i + 1 :]
 
 
-def _odd_strikes(odd: tuple, owner: int, side: Side) -> list:
-    """[(v, odd without v, sign)] over the owner's jets; the sign is
-    (-1)^(odd jets v crosses on its way to the `side` end)."""
+def _image(jv: JetVar, op):
+    """The image of one jet under the derivation op, as (tag, jet or None).
+
+    D along direction op (an int) raises every jet: (None, raised jet).  The
+    sweep op = (owner, side) strikes each jet of the owner, (jet, None), and
+    kills every other jet: the falsy ().
+    """
+    if isinstance(op, int):
+        order = jv.order
+        return None, JetVar(jv.owner, order[:op] + (order[op] + 1,) + order[op + 1 :])
+    return (jv, None) if jv.owner == op[0] else ()
+
+
+def _odd_summands(odd: tuple, op, side: Side) -> list:
+    """[(tag, odd', sign)]: the summands of the derivation op on one odd part.
+
+    Each jet moves to the `side` end with (-1)^(odd jets crossed) and is
+    replaced by its image.  D's side is the right: its raised jet merges back
+    into place from there, and a repeated odd jet kills the summand.
+    """
     n = len(odd)
-    return [
-        (jv, odd[:i] + odd[i + 1 :], -1 if (i if side == "left" else n - i - 1) % 2 else 1)
-        for i, jv in enumerate(odd)
-        if jv.owner == owner
-    ]
+    out = []
+    for i, jv in enumerate(odd):
+        image = _image(jv, op)
+        if not image:
+            continue
+        tag, up = image
+        rest = odd[:i] + odd[i + 1 :]
+        sign = -1 if (i if side == "left" else n - i - 1) % 2 else 1
+        if up is not None:
+            merged = _merge_odd(rest, (up,))
+            if merged is None:
+                continue
+            rest, sign = merged[0], sign * merged[1]
+        out.append((tag, rest, sign))
+    return out
 
 
-def _func_strikes(ctx, funcs: tuple, owner: int, side: Side) -> list:
-    """The chain-rule summands of the function units' partials along one owner.
+def _func_summands(ctx, funcs: tuple, op) -> list:
+    """[(tag, even', funcs', odd', c)]: the chain-rule summands of op on one function part.
 
-    Each entry (v, even', funcs', odd', c) is one monomial k2 of d arg / dv
-    times f'(arg) and the other function units: the key _mul_keys(k2, base)
-    of a monomial (even, funcs, odd) is (even' + even, funcs', odd' + odd),
-    with the odd merge sign, and its coefficient is c times the monomial's.
+    A unit f(arg)^p gives p f'(arg) f(arg)^(p-1) times each monomial k2 of the
+    derivative of arg, placed in front of the rest of the monomial: for a
+    monomial (even, funcs, odd) the summand's key is (even' + even, funcs',
+    odd' + odd), with the odd merge sign, and its coefficient is c times the
+    monomial's.
     """
     out = []
     for i, ((kind, aid), p) in enumerate(funcs):
-        d_arg = ctx._arg_partials.get((aid, owner, side))
-        if d_arg is None:
-            d_arg = ctx._arg_partials[(aid, owner, side)] = _partials(ctx.arg(aid), owner, side)
-        if not d_arg:
-            continue
         dkind, sgn = FUNC_DERIVATIVE[kind]
         base = _insert_unit(_lower_power(funcs, i), (dkind, aid))
-        for v, d in d_arg.items():
-            for (k_even, k_funcs, k_odd), c2 in d.terms.items():
-                out.append((v, k_even, _merge_units(k_funcs, base), k_odd, p * sgn * c2))
+        for tag, terms in _derive(ctx.arg(aid), op).items():
+            for (k_even, k_funcs, k_odd), c in terms.items():
+                out.append((tag, k_even, _merge_units(k_funcs, base), k_odd, p * sgn * c))
     return out
+
+
+def _derive(e: Expression, op) -> dict:
+    """The derivation op of e by the graded Leibniz rule, as {tag: terms}.
+
+    op is a direction d for the total derivative D_d, whose one tag is None,
+    or (owner, side) for the sweep of directed partials along the owner's
+    jets, tagged by the struck jet.  The loop does not tell them apart: per
+    monomial an even jet has its power lowered and its image (see _image)
+    inserted, and the summands of the function part and of the odd part come
+    from lists the context caches per (component, op), since both parts
+    repeat across nearly every monomial.  Even parts are not cached: they
+    are far more numerous, and a cache would hold every distinct even part a
+    context has met.
+
+    Only the side and the parity of op enter the signs.  D is even, and its
+    side is the right (see _odd_summands).  A sweep along an odd owner is
+    odd: on the right side the odd derivative of a function argument crosses
+    every odd jet of the monomial.
+    """
+    ctx = e.ctx
+    if isinstance(op, int):
+        side, flip = "right", False
+    else:
+        side = op[1]
+        flip = side == "right" and ctx.parities[op[0]]
+    odd_derivs, func_derivs = ctx._odd_derivs, ctx._func_derivs
+    outs: defaultdict = defaultdict(dict)
+    images: dict = {}  # jet -> its image under op, built once per call
+    for (even, funcs, odd), coeff in e.terms.items():
+        for i, (jv, p) in enumerate(even):
+            image = images.get(jv)
+            if image is None:
+                image = images[jv] = _image(jv, op)
+            if image:
+                tag, up = image
+                low = _lower_power(even, i)
+                key = (low if up is None else _insert_unit(low, up), funcs, odd)
+                _add_term(outs[tag], key, coeff * p)
+        if funcs:
+            got = func_derivs.get((funcs, op))
+            if got is None:
+                got = func_derivs[(funcs, op)] = _func_summands(ctx, funcs, op)
+            c = -coeff if flip and len(odd) % 2 else coeff
+            for tag, k_even, k_funcs, k_odd, c2 in got:
+                merged = _merge_odd(k_odd, odd)
+                if merged is not None:
+                    key = (_merge_units(k_even, even), k_funcs, merged[0])
+                    _add_term(outs[tag], key, c * c2 * merged[1])
+        if odd:
+            got = odd_derivs.get((odd, op))
+            if got is None:
+                got = odd_derivs[(odd, op)] = _odd_summands(odd, op, side)
+            for tag, rest, sign in got:
+                _add_term(outs[tag], (even, funcs, rest), coeff * sign)
+    return outs
 
 
 def _partials(e: Expression, owner: int, side: Side) -> dict:
     """Every directed partial of e along the jets of one owner, in one sweep.
 
     Returns {v: d e / dv} over the nonzero partials, the struck JetVar v
-    ascending.  The partial is a graded derivation, so each monomial's
-    summands come from its three key components apart: an even jet has its
-    power lowered, an odd jet is struck with (-1)^(odd jets crossed on the way
-    to the `side` end), and a function factor f(arg) becomes f'(arg) times the
-    sweep of its argument, placed in front of the rest of the monomial.  The
-    strikes of the odd part and of the function part are cached in the
-    context per (owner, side), as total_derivative caches their raises.
+    ascending.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    ctx = e.ctx
-    odd_owner = ctx.parities[owner]
-    strike_odd, strike_funcs = ctx._strike_odd, ctx._strike_funcs
-    outs: dict = {}
-    for (even, funcs, odd), coeff in e.terms.items():
-        if not odd_owner:
-            for i, (jv, p) in enumerate(even):
-                if jv.owner == owner:
-                    key = (_lower_power(even, i), funcs, odd)
-                    _add_term(outs.setdefault(jv, {}), key, coeff * p)
-        else:
-            got = strike_odd.get((odd, owner, side))
-            if got is None:
-                got = strike_odd[(odd, owner, side)] = _odd_strikes(odd, owner, side)
-            for jv, rest, sign in got:
-                _add_term(outs.setdefault(jv, {}), (even, funcs, rest), coeff * sign)
-        if funcs:
-            got = strike_funcs.get((funcs, owner, side))
-            if got is None:
-                got = strike_funcs[(funcs, owner, side)] = _func_strikes(ctx, funcs, owner, side)
-            c = coeff
-            if odd_owner and side == "right" and len(odd) % 2:
-                c = -c  # the odd d(arg) crosses every odd jet on its way right
-            for v, k_even, k_funcs, k_odd, c2 in got:
-                merged = _merge_odd(k_odd, odd)
-                if merged is not None:
-                    key = (_merge_units(k_even, even), k_funcs, merged[0])
-                    _add_term(outs.setdefault(v, {}), key, c * c2 * merged[1])
-    return {v: Expression(ctx, outs[v]) for v in sorted(outs) if outs[v]}
+    outs = _derive(e, (owner, side))
+    return {v: Expression(e.ctx, outs[v]) for v in sorted(outs) if outs[v]}
 
 
 def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
@@ -122,92 +169,11 @@ def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
     return _partials(e, v.owner, side).get(v) or Expression.zero(e.ctx)
 
 
-def _bump(order, direction):
-    return order[:direction] + (order[direction] + 1,) + order[direction + 1 :]
-
-
-def _func_chain(ctx, kind, aid, direction) -> Expression:
-    """Cached chain-rule factor of one function unit: f'(arg) * D(arg)."""
-    got = ctx._func_chain.get((kind, aid, direction))
-    if got is None:
-        dkind, sgn = FUNC_DERIVATIVE[kind]
-        head = Expression(ctx, {((), (((dkind, aid), 1),), ()): sgn})
-        got = head * total_derivative(ctx.arg(aid), direction)
-        ctx._func_chain[(kind, aid, direction)] = got
-    return got
-
-
-def _raise_odd(odd: tuple, direction: int) -> list:
-    """[(odd with one jet raised along direction, sign)] over the nonzero summands.
-
-    The struck jet moves to the right end with (-1)^(odd jets crossed) and its
-    raised jet merges back into place; a repeated odd jet kills the summand.
-    """
-    out = []
-    for i, jv in enumerate(odd):
-        up = JetVar(jv.owner, _bump(jv.order, direction))
-        merged = _merge_odd(odd[:i] + odd[i + 1 :], (up,))
-        if merged is not None:
-            out.append((merged[0], -merged[1] if (len(odd) - i - 1) % 2 else merged[1]))
-    return out
-
-
-def _raise_funcs(ctx, funcs: tuple, direction: int) -> list:
-    """[(even', funcs', odd', c)]: each function unit's chain-rule summands.
-
-    For a monomial (even, funcs, odd) the summand's key is
-    (even + even', funcs', odd + odd') with the odd merge sign, and its
-    coefficient is c times the monomial's.
-    """
-    out = []
-    for i, ((kind, aid), p) in enumerate(funcs):
-        rest = _lower_power(funcs, i)
-        for (k_even, k_funcs, k_odd), c2 in _func_chain(ctx, kind, aid, direction).terms.items():
-            out.append((k_even, _merge_units(rest, k_funcs), k_odd, p * c2))
-    return out
-
-
 def total_derivative(e: Expression, direction: int = 0) -> Expression:
-    """The even derivation D_direction raising jet orders by the chain rule.
-
-    By the Leibniz rule D(even*funcs*odd) is D(even)*funcs*odd +
-    even*D(funcs)*odd + even*funcs*D(odd).  An even summand lowers one power
-    and inserts the raised jet, built once per call.  The function and odd
-    parts of the keys repeat across nearly every monomial, so the context
-    caches their derivatives per direction: a raised odd part is a whole key
-    component, and a chain-rule summand costs one merge with the even part
-    and one with the odd part.  Even parts are not cached: they repeat less
-    and are far more numerous, so their cache would hold every distinct even
-    part that a context has met.  Being even, D adds no sign of its own.
-    """
-    ctx = e.ctx
-    if not 0 <= direction < ctx.n_indep:
+    """The even derivation D_direction, which raises jet orders (see _derive)."""
+    if not 0 <= direction < e.ctx.n_indep:
         raise ValueError(f"direction {direction} out of range")
-    raised_odd, raised_funcs = ctx._raised_odd, ctx._raised_funcs
-    out: dict = {}
-    up: dict = {}  # jet -> its D_direction, built once per call
-    for (even, funcs, odd), coeff in e.terms.items():
-        for i, (jv, p) in enumerate(even):
-            jv_up = up.get(jv)
-            if jv_up is None:
-                jv_up = up[jv] = JetVar(jv.owner, _bump(jv.order, direction))
-            _add_term(out, (_insert_unit(_lower_power(even, i), jv_up), funcs, odd), coeff * p)
-        if funcs:
-            got = raised_funcs.get((funcs, direction))
-            if got is None:
-                got = raised_funcs[(funcs, direction)] = _raise_funcs(ctx, funcs, direction)
-            for k_even, k_funcs, k_odd, c in got:
-                merged = _merge_odd(odd, k_odd)
-                if merged is not None:
-                    key = (_merge_units(even, k_even), k_funcs, merged[0])
-                    _add_term(out, key, coeff * c * merged[1])
-        if odd:
-            got = raised_odd.get((odd, direction))
-            if got is None:
-                got = raised_odd[(odd, direction)] = _raise_odd(odd, direction)
-            for raised, sign in got:
-                _add_term(out, (even, funcs, raised), coeff * sign)
-    return Expression(ctx, out)
+    return Expression(e.ctx, _derive(e, direction).get(None, {}))
 
 
 def iterated_derivative(e: Expression, order) -> Expression:

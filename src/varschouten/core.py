@@ -66,9 +66,10 @@ class FieldContext:
     Owners are numbered in declaration order: the k-th field is 2k and its
     antifield 2k+1, whose parity is the field parity flipped.  The
     context also owns the hash-cons table for function-factor arguments, the
-    caches of their derivatives and of their plain text, and the caches of
-    the total derivative and the directed partials of the odd part and the
-    function part of monomial keys, which the calculus fills.
+    cache of their plain text, and the two derivative caches of the
+    calculus: the summands of every derivation (a total derivative, or a
+    sweep of directed partials) on the odd parts and on the function parts of
+    monomial keys.
     """
 
     def __init__(
@@ -103,24 +104,14 @@ class FieldContext:
         self._args: list[Expression] = []
         self._arg_keys: list[tuple] = []
         self._arg_index: dict[tuple, int] = {}
-        # derivative caches of interned arguments, filled by the calculus:
-        # (arg_id, owner, side) -> {struck JetVar: directed partial of the argument}
-        self._arg_partials: dict[tuple[int, int, str], dict] = {}
-        # (kind, arg_id, direction) -> f'(arg) * D_direction(arg)
-        self._func_chain: dict[tuple[str, int, int], "Expression"] = {}
-        # derivative caches of the odd part and the function part of monomial
-        # keys, filled by the calculus.  Both derivations obey the Leibniz
-        # rule, so a monomial's summands are built from the cached lists of
-        # these two components (see calculus.total_derivative and _partials).
-        # Even parts are not cached: they are far more numerous.
-        # (odd, direction) -> [(raised odd part, sign)]
-        self._raised_odd: dict[tuple, list] = {}
-        # (funcs, direction) -> [(even', merged funcs, odd', coefficient)]
-        self._raised_funcs: dict[tuple, list] = {}
-        # (odd, owner, side) -> [(struck JetVar, remaining odd part, sign)]
-        self._strike_odd: dict[tuple, list] = {}
-        # (funcs, owner, side) -> [(struck JetVar, even', funcs', odd', coefficient)]
-        self._strike_funcs: dict[tuple, list] = {}
+        # The two derivative caches, filled by calculus._derive.  op is a
+        # direction d for D_d or (owner, side) for the sweep of directed
+        # partials; both are graded derivations, so a monomial's summands are
+        # built from the cached summands of its odd part and function part.
+        # (odd, op) -> [(tag, odd', sign)]
+        self._odd_derivs: dict[tuple, list] = {}
+        # (funcs, op) -> [(tag, even', funcs', odd', coefficient)]
+        self._func_derivs: dict[tuple, list] = {}
         # arg_id -> plain text of the argument, filled by textio
         self._arg_plain: dict[int, str] = {}
 
@@ -309,7 +300,7 @@ def _add_term(out: dict, key, c) -> None:
     """Accumulate c into out[key], dropping the key when the sum vanishes."""
     s = out.get(key, 0) + c
     if s:
-        out[key] = _demote(s)
+        out[key] = s if type(s) is int else _demote(s)
     else:
         del out[key]
 

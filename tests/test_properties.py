@@ -1,9 +1,11 @@
-"""Property tests of the two derivations and of their per-context caches.
+"""Property tests of the two derivations, their per-context caches and the
+plain-text round trip.
 
 Densities are drawn as recipes (plain data) and built in a context, so one
 recipe can be built in two contexts that intern function arguments in a
 different order.  Every recipe may hold odd jets and exp/sin/cos factors,
-whose arguments may hold pairs of odd jets.
+whose arguments may hold pairs of odd jets and, for the round trip, function
+factors of their own.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from varschouten import (
     jet,
     jet_orders,
     parse_context,
+    parse_density,
     partial,
     sin,
     total_derivative,
@@ -59,7 +62,8 @@ def _orders(n_indep, max_order):
 
 
 @st.composite
-def _monomial(draw, ctx, max_order, parity, funcs=True):
+def _monomial(draw, ctx, max_order, parity, depth=1):
+    """A monomial recipe; its function factors nest `depth` levels deep."""
     owners = range(len(ctx.names))
     even_owners = [o for o in owners if not ctx.parities[o]]
     odd_owners = [o for o in owners if ctx.parities[o]]
@@ -75,18 +79,18 @@ def _monomial(draw, ctx, max_order, parity, funcs=True):
             st.lists(
                 st.tuples(
                     st.sampled_from(sorted(FUNCS)),
-                    st.lists(_monomial(ctx, max_order, 0, funcs=False), min_size=1, max_size=2),
+                    st.lists(_monomial(ctx, max_order, 0, depth - 1), min_size=1, max_size=2),
                     st.integers(1, 2),
                 ),
-                max_size=1 if funcs else 0,
+                max_size=1 if depth else 0,
             )
         ),
     )
 
 
-def _recipe(ctx, max_order, parity):
+def _recipe(ctx, max_order, parity, depth=1):
     """A homogeneous density of the given parity, as a list of monomial recipes."""
-    return st.lists(_monomial(ctx, max_order, parity), min_size=1, max_size=3)
+    return st.lists(_monomial(ctx, max_order, parity, depth), min_size=1, max_size=3)
 
 
 def _build(ctx, recipe) -> Expression:
@@ -146,41 +150,65 @@ def test_partial_graded_leibniz_rule_both_sides(text, max_order, data):
             assert partial(ab, v, "right") == right
 
 
-def _derivatives(e: Expression, text: bool, backwards: bool = False) -> dict:
-    """Every total derivative and directed partial sweep of e, each as its
-    terms in stored order, or as plain text when `text` is set (the display
-    order, which does not depend on interning history).  `backwards` asks
-    for them in the opposite order, so a cache entry filled for one
-    direction, owner or side is read first by another."""
-    ctx = e.ctx
-    show = format_density if text else (lambda d: list(d.terms.items()))
+def _asks(ctx) -> list:
+    """Every total derivative ("D", d) and directed partial sweep (owner, side)."""
     asks = [("D", d) for d in range(ctx.n_indep)]
-    asks += [(owner, side) for owner in range(len(ctx.names)) for side in ("left", "right")]
-    out = {}
-    for ask in reversed(asks) if backwards else asks:
-        if ask[0] == "D":
-            out[ask] = show(total_derivative(e, ask[1]))
-        else:
-            out[ask] = [(v, show(d)) for v, d in _partials(e, *ask).items()]
-    return out
+    return asks + [(owner, side) for owner in range(len(ctx.names)) for side in ("left", "right")]
+
+
+def _ask(e: Expression, ask, text: bool):
+    """One ask of e, as its terms in stored order, or as plain text when
+    `text` is set (the display order, which does not depend on interning
+    history)."""
+    show = format_density if text else (lambda d: list(d.terms.items()))
+    if ask[0] == "D":
+        return show(total_derivative(e, ask[1]))
+    return [(v, show(d)) for v, d in _partials(e, *ask).items()]
+
+
+def _derivatives(e: Expression, text: bool, backwards: bool = False) -> dict:
+    """Every ask of e.  `backwards` asks them in the opposite order, so a
+    cache entry filled for one direction, owner or side is read first by
+    another."""
+    asks = _asks(e.ctx)
+    return {ask: _ask(e, ask, text) for ask in (reversed(asks) if backwards else asks)}
 
 
 @CONTEXTS
 @SETTINGS
 @hypothesis.given(data=st.data())
 def test_component_caches_do_not_change_results(text, max_order, data):
-    # A cold context, the same context once its caches are warm, and a
-    # context that interned the same function arguments in the other order.
+    # The same context cold and once its caches are warm; each ask alone in
+    # a fresh context, against the warm one that answered every other ask
+    # first; and a context that interned the same function arguments in the
+    # other order.
     shape = parse_context(text)
     recipes = [data.draw(_recipe(shape, max_order, parity)) for parity in (0, 1)]
     ctx = parse_context(text)
     a, b = (_build(ctx, r) for r in recipes)
     densities = (a, b, a * b)
     cold = [_derivatives(e, False) for e in densities]
-    assert [_derivatives(e, False) for e in densities] == cold
+    warm = [_derivatives(e, False) for e in densities]
+    assert warm == cold
+
+    for k, got in enumerate(warm):
+        for ask in _asks(ctx):
+            fresh = parse_context(text)
+            a1, b1 = (_build(fresh, r) for r in recipes)
+            assert _ask((a1, b1, a1 * b1)[k], ask, False) == got[ask]
 
     other = parse_context(text)
     b2 = _build(other, recipes[1])
     a2 = _build(other, recipes[0])
     for e, e2 in zip(densities, (a2, b2, a2 * b2)):
         assert _derivatives(e, True) == _derivatives(e2, True, backwards=True)
+
+
+@CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_plain_text_round_trip(text, max_order, data):
+    ctx = parse_context(text)
+    for parity in (0, 1):
+        e = _build(ctx, data.draw(_recipe(ctx, max_order, parity, depth=2)))
+        assert parse_density(format_density(e), ctx) == e

@@ -37,7 +37,6 @@ from .functional import (
 )
 from .fuzz import FuzzParams, random_functional, run_fuzz, trial_seed
 from .schouten import (
-    BracketResult,
     eq1_sign,
     graded_symmetry_defect,
     jacobi_defect,
@@ -64,7 +63,6 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketResult",
     "Expression",
     "FieldContext",
     "Functional",

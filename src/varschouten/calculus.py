@@ -37,8 +37,8 @@ def _image(jv: JetVar, op):
     """The image of one jet under the derivation op, as (tag, jet or None).
 
     D along direction op (an int) raises every jet: (None, raised jet).  The
-    sweep op = (owner, side) strikes each jet of the owner, (jet, None), and
-    kills every other jet: the falsy ().
+    sweep op = (owner,) strikes each jet of the owner, (jet, None), and kills
+    every other jet: the falsy ().
     """
     if isinstance(op, int):
         order = jv.order
@@ -46,14 +46,13 @@ def _image(jv: JetVar, op):
     return (jv, None) if jv.owner == op[0] else ()
 
 
-def _odd_summands(odd: tuple, op, side: Side) -> list:
+def _odd_summands(odd: tuple, op) -> list:
     """[(tag, odd', sign)]: the summands of the derivation op on one odd part.
 
-    Each jet moves to the `side` end with (-1)^(odd jets crossed) and is
-    replaced by its image.  D's side is the right: its raised jet merges back
-    into place from there, and a repeated odd jet kills the summand.
+    Each jet moves to the left end with (-1)^(odd jets crossed) and is
+    replaced by its image.  D's raised jet merges back into place from there,
+    and a repeated odd jet kills the summand.
     """
-    n = len(odd)
     out = []
     for i, jv in enumerate(odd):
         image = _image(jv, op)
@@ -61,9 +60,9 @@ def _odd_summands(odd: tuple, op, side: Side) -> list:
             continue
         tag, up = image
         rest = odd[:i] + odd[i + 1 :]
-        sign = -1 if (i if side == "left" else n - i - 1) % 2 else 1
+        sign = -1 if i % 2 else 1
         if up is not None:
-            merged = _merge_odd(rest, (up,))
+            merged = _merge_odd((up,), rest)
             if merged is None:
                 continue
             rest, sign = merged[0], sign * merged[1]
@@ -94,26 +93,18 @@ def _derive(e: Expression, op) -> dict:
     """The derivation op of e by the graded Leibniz rule, as {tag: terms}.
 
     op is a direction d for the total derivative D_d, whose one tag is None,
-    or (owner, side) for the sweep of directed partials along the owner's
-    jets, tagged by the struck jet.  The loop does not tell them apart: per
-    monomial an even jet has its power lowered and its image (see _image)
-    inserted, and the summands of the function part and of the odd part come
-    from lists the context caches per (component, op), since both parts
-    repeat across nearly every monomial.  Even parts are not cached: they
-    are far more numerous, and a cache would hold every distinct even part a
-    context has met.
+    or (owner,) for the sweep of left partials along the owner's jets, tagged
+    by the struck jet.  The loop does not tell them apart: per monomial an
+    even jet has its power lowered and its image (see _image) inserted, and
+    the summands of the function part and of the odd part come from lists the
+    context caches per (component, op), since both parts repeat across nearly
+    every monomial.  Even parts are not cached: they are far more numerous,
+    and a cache would hold every distinct even part a context has met.
 
-    Only the side and the parity of op enter the signs.  D is even, and its
-    side is the right (see _odd_summands).  A sweep along an odd owner is
-    odd: on the right side the odd derivative of a function argument crosses
-    every odd jet of the monomial.
+    Both derivations act from the left, so the function part, which is even
+    and stands left of the odd part, is crossed without a sign.
     """
     ctx = e.ctx
-    if isinstance(op, int):
-        side, flip = "right", False
-    else:
-        side = op[1]
-        flip = side == "right" and ctx.parities[op[0]]
     odd_derivs, func_derivs = ctx._odd_derivs, ctx._func_derivs
     outs: defaultdict = defaultdict(dict)
     images: dict = {}  # jet -> its image under op, built once per call
@@ -131,16 +122,15 @@ def _derive(e: Expression, op) -> dict:
             got = func_derivs.get((funcs, op))
             if got is None:
                 got = func_derivs[(funcs, op)] = _func_summands(ctx, funcs, op)
-            c = -coeff if flip and len(odd) % 2 else coeff
             for tag, k_even, k_funcs, k_odd, c2 in got:
                 merged = _merge_odd(k_odd, odd)
                 if merged is not None:
                     key = (_merge_units(k_even, even), k_funcs, merged[0])
-                    _add_term(outs[tag], key, c * c2 * merged[1])
+                    _add_term(outs[tag], key, coeff * c2 * merged[1])
         if odd:
             got = odd_derivs.get((odd, op))
             if got is None:
-                got = odd_derivs[(odd, op)] = _odd_summands(odd, op, side)
+                got = odd_derivs[(odd, op)] = _odd_summands(odd, op)
             for tag, rest, sign in got:
                 _add_term(outs[tag], (even, funcs, rest), coeff * sign)
     return outs
@@ -150,21 +140,29 @@ def _partials(e: Expression, owner: int, side: Side) -> dict:
     """Every directed partial of e along the jets of one owner, in one sweep.
 
     Returns {v: d e / dv} over the nonzero partials, the struck JetVar v
-    ascending.
+    ascending.  The right partial is the left one times (-1)^(|v||m'|) on
+    each output monomial m': along an odd owner, the monomials with an odd
+    number of odd jets change sign.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    outs = _derive(e, (owner, side))
+    outs = _derive(e, (owner,))
+    if side == "right" and e.ctx.parities[owner]:
+        for terms in outs.values():
+            for key, c in terms.items():
+                if len(key[2]) % 2:
+                    terms[key] = -c
     return {v: Expression(e.ctx, outs[v]) for v in sorted(outs) if outs[v]}
 
 
 def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
     """Directed graded partial derivative of e with respect to jet variable v.
 
-    For odd v the variable is transported to the leftmost (or rightmost)
-    position of each monomial, collecting (-1) per odd transposition, then
-    struck.  Even v uses the ordinary power rule.  Function factors
-    differentiate by the chain rule through their arguments.
+    For odd v the variable is transported to the leftmost position of each
+    monomial, collecting (-1) per odd transposition, then struck; the right
+    partial differs from that by a sign per monomial (see _partials).  Even v
+    uses the ordinary power rule.  Function factors differentiate by the
+    chain rule through their arguments.
     """
     return _partials(e, v.owner, side).get(v) or Expression.zero(e.ctx)
 

@@ -105,9 +105,10 @@ class FieldContext:
         self._arg_keys: list[tuple] = []
         self._arg_index: dict[tuple, int] = {}
         # The two derivative caches, filled by calculus._derive.  op is a
-        # direction d for D_d or (owner, side) for the sweep of directed
-        # partials; both are graded derivations, so a monomial's summands are
-        # built from the cached summands of its odd part and function part.
+        # direction d for D_d or (owner,) for the sweep of left partials,
+        # which the right partials share; both are graded derivations, so a
+        # monomial's summands are built from the cached summands of its odd
+        # part and function part.
         # (odd, op) -> [(tag, odd', sign)]
         self._odd_derivs: dict[tuple, list] = {}
         # (funcs, op) -> [(tag, even', funcs', odd', coefficient)]

@@ -3,9 +3,10 @@
 Each trial derives its own RNG stream from the master seed, draws three
 random homogeneous functionals, and checks that the Jacobi defect and the
 graded-symmetry defect both integrate to zero.  Trials whose pairwise
-brackets all vanish identically prove nothing and are counted separately as
-degenerate (they still pass).  Reports are plain dicts whose compact JSON
-dump is byte-identical across runs with the same parameters.
+brackets all vanish as functionals (each bracket density is a total
+divergence) prove nothing and are counted separately as degenerate (they
+still pass).  Reports are plain dicts whose compact JSON dump is
+byte-identical across runs with the same parameters.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from fractions import Fraction
 from .calculus import is_exact
 from .core import Expression, FieldContext, jet
 from .functional import Functional
-from .schouten import (
-    _jacobi_density,
-    _symmetry_density,
-    graded_symmetry_defect,
-    jacobi_defect,
-    schouten_bracket,
-)
+from .schouten import _jacobi_density, _symmetry_density, schouten_bracket
 from .textio import _FUNC_BUILDERS, MAX_JET_ORDER, format_density
 
 _MIX = 0x9E3779B97F4A7C15
@@ -133,19 +128,22 @@ def run_fuzz(ctx: FieldContext, params: FuzzParams) -> dict:
         H = random_functional(ctx, rng, params, "H")
         # positive scaling changes no parity, no zero bracket and no verdict,
         # so the trial runs on the primitive parts (integer coefficients)
-        pF, pG, pH = (
-            Functional(X.density.content_and_primitive()[1], X.label) for X in (F, G, H)
-        )
-        fg = schouten_bracket(pF, pG).value
-        fh = schouten_bracket(pF, pH).value
-        gh = schouten_bracket(pG, pH).value
-        jacobi_ok = is_exact(_jacobi_density(pF, pG, pH, fg, fh, gh))
-        symmetry_ok = is_exact(_symmetry_density(pF, pG, fg))
-        if jacobi_ok and symmetry_ok:
+        (cF, dF), (cG, dG), (cH, dH) = (X.density.content_and_primitive() for X in (F, G, H))
+        pF, pG, pH = map(Functional, (dF, dG, dH))
+        fg = schouten_bracket(pF, pG)
+        fh = schouten_bracket(pF, pH)
+        gh = schouten_bracket(pG, pH)
+        jacobi = _jacobi_density(pF, pG, pH, fg, fh, gh)
+        symmetry = _symmetry_density(pF, pG, fg)
+        jacobi_ok = is_exact(jacobi)
+        if jacobi_ok and is_exact(symmetry):
             verified += 1
             if fg.is_zero() and fh.is_zero() and gh.is_zero():
                 degenerate += 1
         else:
+            # both defects are multilinear, so the contents turn each primitive
+            # defect into the defect of the densities as drawn
+            residue = symmetry.scale(cF * cG) if jacobi_ok else jacobi.scale(cF * cG * cH)
             failures.append(
                 {
                     "index": index,
@@ -155,12 +153,7 @@ def run_fuzz(ctx: FieldContext, params: FuzzParams) -> dict:
                         "G": format_density(G.density),
                         "H": format_density(H.density),
                     },
-                    # rebuilt from the densities as drawn, not their primitive parts
-                    "residue": format_density(
-                        jacobi_defect(F, G, H).density
-                        if not jacobi_ok
-                        else graded_symmetry_defect(F, G).density
-                    ),
+                    "residue": format_density(residue),
                 }
             )
     return {

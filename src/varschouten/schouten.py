@@ -8,8 +8,6 @@ face.  Its grading is shifted: |[[F,G]]| = |F| + |G| + 1 mod 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .calculus import euler
 from .core import Expression
 from .functional import Functional, functional_parity
@@ -19,26 +17,13 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-@dataclass(frozen=True, eq=False)
-class BracketResult:
-    """A computed bracket: the resulting functional plus its argument labels."""
-
-    value: Functional
-    provenance: tuple[str, str]
-
-    @property
-    def density(self) -> Expression:
-        return self.value.density
-
-
-def schouten_bracket(F: Functional, G: Functional) -> BracketResult:
+def schouten_bracket(F: Functional, G: Functional) -> Functional:
     """The variational Schouten bracket [[F, G]] of homogeneous functionals."""
     if F.ctx is not G.ctx:
         raise ValueError("functionals belong to different field contexts")
     ctx = F.ctx
-    provenance = (F.label or "F", G.label or "G")
     if F.density.is_zero() or G.density.is_zero():
-        return BracketResult(Functional(Expression.zero(ctx)), provenance)
+        return Functional(Expression.zero(ctx))
     functional_parity(F)
     functional_parity(G)
     density = Expression.zero(ctx)
@@ -49,7 +34,7 @@ def schouten_bracket(F: Functional, G: Functional) -> BracketResult:
         density = density - euler(F.density, anti_i, "right") * euler(
             G.density, field_i, "left"
         )
-    return BracketResult(Functional(density), provenance)
+    return Functional(density)
 
 
 def eq1_sign(pF: int, pG: int) -> int:
@@ -78,9 +63,9 @@ def jacobi_defect(F: Functional, G: Functional, H: Functional) -> Functional:
     Assembles [[F,[[G,H]]]] - [[[[F,G]],H]] - (-1)^((|F|-1)(|G|-1)) [[G,[[F,H]]]]
     at density level; callers test the result against zero with functional_eq.
     """
-    fg = schouten_bracket(F, G).value
-    fh = schouten_bracket(F, H).value
-    gh = schouten_bracket(G, H).value
+    fg = schouten_bracket(F, G)
+    fh = schouten_bracket(F, H)
+    gh = schouten_bracket(G, H)
     return Functional(_jacobi_density(F, G, H, fg, fh, gh))
 
 
@@ -90,7 +75,7 @@ def graded_symmetry_defect(F: Functional, G: Functional) -> Functional:
     The assembled density is returned without any claim that it vanishes
     (for even F the (F,F) case reduces to 2[[F,F]], which need not be zero).
     """
-    return Functional(_symmetry_density(F, G, schouten_bracket(F, G).value))
+    return Functional(_symmetry_density(F, G, schouten_bracket(F, G)))
 
 
 def reorder_sign_ledger(pF: int, pG: int) -> dict[int, int]:

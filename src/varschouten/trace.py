@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import add
 from typing import Optional, Union
 
 from .calculus import _partials, euler_blocks, is_exact, iterated_derivative
@@ -40,20 +39,19 @@ def second_variation_cells(
 
     Cell (sigma, tau) holds (-1)^(|sigma|+|tau|) D^(sigma+tau) applied to the
     kernel d_side2/d(w2_tau) of d_side1/d(w1_sigma) of e, the w1 strike acting
-    first.  The derivative chains stay on the struck kernel; cofactors of the
-    enclosing expansion are never differentiated by them.  Returns nonzero
+    first: D^sigma of the tau Euler block of each first partial, with the sign
+    of sigma.  The derivative chains stay on the struck kernel; cofactors of
+    the enclosing expansion are never differentiated by them.  Returns nonzero
     cells with (sigma, tau) ascending in graded-lexicographic order.
     """
-    ctx = e.ctx
-    o2 = ctx.owner(w2)
     cells = []
-    for v1, first in _partials(e, ctx.owner(w1), side1).items():
-        for v2, kernel in _partials(first, o2, side2).items():
-            value = iterated_derivative(kernel, tuple(map(add, v1.order, v2.order)))
-            if (v1.degree + v2.degree) % 2:
+    for v1, first in _partials(e, e.ctx.owner(w1), side1).items():
+        for tau, block in euler_blocks(first, w2, side2):
+            value = iterated_derivative(block, v1.order)
+            if v1.degree % 2:
                 value = -value
             if not value.is_zero():
-                cells.append(((v1.order, v2.order), value))
+                cells.append(((v1.order, tau), value))
     return cells
 
 

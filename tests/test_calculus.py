@@ -1,5 +1,6 @@
 """Directed partials, the total derivative, Euler operators, and exactness."""
 
+import hashlib
 import math
 import random
 
@@ -14,6 +15,7 @@ from varschouten import (
     euler,
     euler_blocks,
     exp,
+    format_density,
     is_exact,
     iterated_derivative,
     jacobi_defect,
@@ -25,6 +27,7 @@ from varschouten import (
     sin,
     total_derivative,
 )
+from varschouten.calculus import _partials
 from varschouten.fuzz import FuzzParams, random_expression, random_functional, trial_seed
 
 
@@ -191,6 +194,70 @@ class TestTotalDerivative:
         u = jet(ctx2, "u")
         assert total_derivative(u, 1) == jet(ctx2, "u", (0, 1))
         assert iterated_derivative(u, (1, 1)) == jet(ctx2, "u", (1, 1))
+
+
+# Fixed densities whose function arguments hold pairs of odd jets, which the
+# fuzz generator never draws, with mixed-parity sums among them.  The pins are
+# sha256 prefixes of every left and right partial sweep, every left and right
+# Euler derivative and every total derivative of each density, in plain text.
+_ODD_ARGUMENT_DENSITIES = pytest.mark.parametrize(
+    "text, densities, want",
+    [
+        (
+            "indep x\nfield q even antifield p\n",
+            [
+                "q*exp(p*p[1])*p[2]",
+                "cos(q[1]*p*p[2])*p",
+                "p*exp(p*p[1]) + q[1]*sin(q*p*p[2])",
+                "exp(p*p[1])*sin(p[1]*p[2])*q[2] + p[2]*p*cos(q*p*p[1])",
+            ],
+            "d44c9a59c6086742",
+        ),
+        (
+            "indep x\nfield u even antifield v\nfield a odd antifield b\n",
+            [
+                "exp(a*v[1])*b*v",
+                "u[1]*cos(a*a[1]*u)*a[2] + v*sin(a[1]*v[1]*b) + b[1]*exp(v*v[2])",
+            ],
+            "e85a966b5bb0a575",
+        ),
+        (
+            "indep x y\nfield q even antifield p\n",
+            [
+                "exp(p*p[1,0])*q[0,1]*p",
+                "sin(q[1,0]*p*p[0,1])*p[1,1] + q*cos(p[0,1]*p[1,0])",
+            ],
+            "4a697064e62eeeb7",
+        ),
+        (
+            "indep t\nfield psi odd antifield chi\n",
+            [
+                "exp(psi*psi[1])*chi",
+                "psi[2]*sin(chi[1]*psi*psi[1])*psi",
+                "chi*exp(psi*psi[1])*psi[2] + chi[1]*sin(chi*psi*psi[2])*psi[1]*psi"
+                " + cos(psi[1]*psi[2])",
+            ],
+            "2f41c6f75ba3efc9",
+        ),
+    ],
+    ids=["default", "pairs", "plane", "odd"],
+)
+
+
+@_ODD_ARGUMENT_DENSITIES
+def test_sided_derivatives_through_odd_arguments_are_byte_stable(text, densities, want):
+    ctx = parse_context(text)
+    lines = []
+    for density in densities:
+        e = parse_density(density, ctx)
+        for owner in range(len(ctx.names)):
+            for side in ("left", "right"):
+                for v, d in _partials(e, owner, side).items():
+                    lines.append(f"{side} {v.owner} {v.order}: {format_density(d)}")
+                lines.append(f"euler {side} {owner}: {format_density(euler(e, owner, side))}")
+        for direction in range(ctx.n_indep):
+            lines.append(f"D {direction}: {format_density(total_derivative(e, direction))}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == want
 
 
 class TestEuler:

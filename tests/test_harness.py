@@ -1,5 +1,6 @@
 """Command-line interface behavior, output formats, and exit codes."""
 
+import itertools
 import json
 import random
 import subprocess
@@ -10,7 +11,16 @@ from pathlib import Path
 import pytest
 
 import varschouten
-from varschouten import cli, fuzz, format_density, is_exact, jacobi_defect, parse_density
+from varschouten import (
+    cli,
+    format_density,
+    fuzz,
+    graded_symmetry_defect,
+    is_exact,
+    jacobi_defect,
+    parse_density,
+    schouten_bracket,
+)
 from varschouten.cli import main
 from varschouten.fuzz import FuzzParams
 from varschouten.textio import MAX_DIGITS, MAX_EXPONENT, MAX_JET_ORDER, MAX_NESTING
@@ -235,6 +245,30 @@ class TestFuzz:
             }
             assert failure["residue"] == format_density(defect)
         assert fractional
+
+    @pytest.mark.parametrize("spoiled", [False, True], ids=["defect", "spoiled"])
+    def test_symmetry_failure_report_prints_the_unscaled_defect(self, ctx, monkeypatch, spoiled):
+        # each trial's first check (the Jacobi defect) passes and its second
+        # (the symmetry defect) fails, so each trial reports its symmetry
+        # residue.  These trials' symmetry defects are 0 as densities; the
+        # spoiled one, [[F,G]] alone, is bilinear too and has coefficients
+        # that show the residue is rescaled to the densities as drawn.
+        calls = itertools.count()
+        monkeypatch.setattr(fuzz, "is_exact", lambda e: next(calls) % 2 == 0)
+        if spoiled:
+            monkeypatch.setattr(fuzz, "_symmetry_density", lambda F, G, fg: fg.density)
+        params = FuzzParams(seed=2026, count=3)
+        report = fuzz.run_fuzz(ctx, params)
+        assert report["verified"] == 0 and len(report["failures"]) == 3
+        fractional = False
+        for index, failure in enumerate(report["failures"]):
+            rng = random.Random(fuzz.trial_seed(params.seed, index))
+            F, G, H = (fuzz.random_functional(ctx, rng, params, label) for label in "FGH")
+            want = (schouten_bracket if spoiled else graded_symmetry_defect)(F, G).density
+            fractional |= any(type(c) is Fraction for c in want.terms.values())
+            assert failure["residue"] == format_density(want)
+            assert failure["residue"] != format_density(jacobi_defect(F, G, H).density)
+        assert fractional == spoiled
 
 
 class TestErrorHandling:

@@ -44,16 +44,9 @@ def test_golden_inner_bracket_value(ctx, golden):
 def test_shifted_parity(ctx, golden):
     F, G, H = golden
     for a, b in ((F, G), (G, H), (F, H)):
-        br = schouten_bracket(a, b).value
+        br = schouten_bracket(a, b)
         want = (functional_parity(a) + functional_parity(b) + 1) % 2
         assert functional_parity(br) == want
-
-
-def test_provenance_and_density_shortcut(ctx, golden):
-    F, G, _ = golden
-    res = schouten_bracket(F, G)
-    assert res.provenance == ("F", "G")
-    assert res.density is res.value.density
 
 
 def test_zero_argument_short_circuits(ctx, golden):
@@ -98,8 +91,8 @@ def test_bilinearity(ctx, golden):
     a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     combo = scale_add(a, F, b, G)
-    lhs = schouten_bracket(combo, H).value
-    rhs = scale_add(a, schouten_bracket(F, H).value, b, schouten_bracket(G, H).value)
+    lhs = schouten_bracket(combo, H)
+    rhs = scale_add(a, schouten_bracket(F, H), b, schouten_bracket(G, H))
     assert functional_eq(lhs, rhs)
 
 

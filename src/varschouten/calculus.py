@@ -13,79 +13,48 @@ from typing import Union
 
 from .core import (
     FUNC_DERIVATIVE,
+    SLOT_BITS,
     Expression,
     JetVar,
     _add_term,
-    _insert_unit,
-    _merge_odd,
-    _merge_units,
+    _check_powers,
+    _crossings,
     eval_zero_section,
+    unpack,
 )
 
 Side = str  # "left" | "right"
 
 
-def _lower_power(units: tuple, i: int) -> tuple:
-    """A sorted (atom, power) unit tuple with the power of entry i lowered by one."""
-    atom, p = units[i]
-    if p == 1:
-        return units[:i] + units[i + 1 :]
-    return units[:i] + ((atom, p - 1),) + units[i + 1 :]
-
-
-def _image(jv: JetVar, op):
-    """The image of one jet under the derivation op, as (tag, jet or None).
+def _image(ctx, jv: JetVar, op):
+    """The image of one jet under the derivation op, as (tag, key part or 0).
 
     D along direction op (an int) raises every jet: (None, raised jet).  The
-    sweep op = (owner,) strikes each jet of the owner, (jet, None), and kills
+    sweep op = (owner,) strikes each jet of the owner, (jet, 0), and kills
     every other jet: the falsy ().
     """
     if isinstance(op, int):
         order = jv.order
-        return None, JetVar(jv.owner, order[:op] + (order[op] + 1,) + order[op + 1 :])
-    return (jv, None) if jv.owner == op[0] else ()
+        return None, ctx._one(JetVar(jv.owner, order[:op] + (order[op] + 1,) + order[op + 1 :]))
+    return (jv, 0) if jv.owner == op[0] else ()
 
 
-def _odd_summands(odd: tuple, op) -> list:
-    """[(tag, odd', sign)]: the summands of the derivation op on one odd part.
-
-    Each jet moves to the left end with (-1)^(odd jets crossed) and is
-    replaced by its image.  D's raised jet merges back into place from there,
-    and a repeated odd jet kills the summand.
-    """
-    out = []
-    for i, jv in enumerate(odd):
-        image = _image(jv, op)
-        if not image:
-            continue
-        tag, up = image
-        rest = odd[:i] + odd[i + 1 :]
-        sign = -1 if i % 2 else 1
-        if up is not None:
-            merged = _merge_odd((up,), rest)
-            if merged is None:
-                continue
-            rest, sign = merged[0], sign * merged[1]
-        out.append((tag, rest, sign))
-    return out
-
-
-def _func_summands(ctx, funcs: tuple, op) -> list:
-    """[(tag, even', funcs', odd', c)]: the chain-rule summands of op on one function part.
+def _func_summands(ctx, funcs: int, op) -> list:
+    """[(tag, delta, odd', c)]: the chain-rule summands of op on one function part.
 
     A unit f(arg)^p gives p f'(arg) f(arg)^(p-1) times each monomial k2 of the
     derivative of arg, placed in front of the rest of the monomial: for a
-    monomial (even, funcs, odd) the summand's key is (even' + even, funcs',
-    odd' + odd), with the odd merge sign, and its coefficient is c times the
+    monomial (packed, odd) with this function part the summand's key is
+    (packed + delta, odd' * odd), and its coefficient is c times the
     monomial's.
     """
     out = []
-    for i, ((kind, aid), p) in enumerate(funcs):
+    for (kind, aid), p in unpack(ctx, (funcs, 0))[1]:
         dkind, sgn = FUNC_DERIVATIVE[kind]
-        base = _insert_unit(_lower_power(funcs, i), (dkind, aid))
+        lift = ctx._one((dkind, aid)) - ctx._one((kind, aid))
         for tag, terms in _derive(ctx.arg(aid), op).items():
-            for (k_even, k_funcs, k_odd), c in terms.items():
-                out.append((tag, k_even, _merge_units(k_funcs, base), k_odd, p * sgn * c))
+            for (k_packed, k_odd), c in terms.items():
+                out.append((tag, lift + k_packed, k_odd, p * sgn * c))
     return out
 
 
@@ -94,45 +63,67 @@ def _derive(e: Expression, op) -> dict:
 
     op is a direction d for the total derivative D_d, whose one tag is None,
     or (owner,) for the sweep of left partials along the owner's jets, tagged
-    by the struck jet.  The loop does not tell them apart: per monomial an
-    even jet has its power lowered and its image (see _image) inserted, and
-    the summands of the function part and of the odd part come from lists the
-    context caches per (component, op), since both parts repeat across nearly
-    every monomial.  Even parts are not cached: they are far more numerous,
-    and a cache would hold every distinct even part a context has met.
-
-    Both derivations act from the left, so the function part, which is even
-    and stands left of the odd part, is crossed without a sign.
+    by the struck jet.  The loop does not tell them apart: per monomial
+    (packed, odd), each even jet the op acts on adds its slot's delta to
+    packed, one power lowered and its image (see _image) raised.  Each odd
+    jet moves to the left end, (-1)^(odd bits below it), and its image moves
+    back into place, (-1)^(odd bits below that).  The function part's
+    summands are cached per (part, op): parts repeat across nearly every
+    monomial.  Both derivations act from the left, so the function part,
+    which is even and stands left of the odd part, is crossed without a sign.
     """
     ctx = e.ctx
-    odd_derivs, func_derivs = ctx._odd_derivs, ctx._func_derivs
+    func_derivs, fmask, guard = ctx._func_derivs, ctx._masks["funcs"], ctx._guard
+    acts_on = ~fmask if isinstance(op, int) else ctx._masks[op[0]]
     outs: defaultdict = defaultdict(dict)
-    images: dict = {}  # jet -> its image under op, built once per call
-    for (even, funcs, odd), coeff in e.terms.items():
-        for i, (jv, p) in enumerate(even):
-            image = images.get(jv)
+    slot_images: dict = {}  # slot shift -> (tag, delta), built once per call
+    bit_images: dict = {}  # odd bit -> its _image
+    for (packed, odd), coeff in e.terms.items():
+        x = packed & acts_on
+        while x:  # x's slots, highest first, as in unpack
+            shift = (x.bit_length() - 1) & -SLOT_BITS
+            p = x >> shift
+            x ^= p << shift
+            image = slot_images.get(shift)
             if image is None:
-                image = images[jv] = _image(jv, op)
-            if image:
-                tag, up = image
-                low = _lower_power(even, i)
-                key = (low if up is None else _insert_unit(low, up), funcs, odd)
-                _add_term(outs[tag], key, coeff * p)
+                tag, up = _image(ctx, ctx._units[shift // SLOT_BITS], op)
+                image = slot_images[shift] = (tag, up - (1 << shift))
+            _add_term(outs[image[0]], (packed + image[1], odd), coeff * p)
+        funcs = packed & fmask
         if funcs:
             got = func_derivs.get((funcs, op))
             if got is None:
                 got = func_derivs[(funcs, op)] = _func_summands(ctx, funcs, op)
-            for tag, k_even, k_funcs, k_odd, c2 in got:
-                merged = _merge_odd(k_odd, odd)
-                if merged is not None:
-                    key = (_merge_units(k_even, even), k_funcs, merged[0])
-                    _add_term(outs[tag], key, coeff * c2 * merged[1])
-        if odd:
-            got = odd_derivs.get((odd, op))
-            if got is None:
-                got = odd_derivs[(odd, op)] = _odd_summands(odd, op)
-            for tag, rest, sign in got:
-                _add_term(outs[tag], (even, funcs, rest), coeff * sign)
+                guard = ctx._guard
+            for tag, delta, k_odd, c2 in got:
+                if k_odd & odd:
+                    continue
+                q = packed + delta
+                if q & guard:
+                    _check_powers(ctx, ((q, k_odd),))
+                c = coeff * c2
+                if k_odd and odd and _crossings(k_odd, odd) % 2:
+                    c = -c
+                _add_term(outs[tag], (q, k_odd | odd), c)
+        x = odd
+        while x:
+            bit = x & -x
+            x ^= bit
+            image = bit_images.get(bit)
+            if image is None:
+                image = bit_images[bit] = _image(ctx, ctx._odd_jets[bit.bit_length() - 1], op)
+            if not image:
+                continue
+            tag, up = image
+            sign = (odd & (bit - 1)).bit_count()
+            rest = odd ^ bit
+            if up:
+                if rest & up:
+                    continue
+                sign += (rest & (up - 1)).bit_count()
+                rest |= up
+            _add_term(outs[tag], (packed, rest), -coeff if sign % 2 else coeff)
+    _check_powers(ctx, (key for terms in outs.values() for key in terms), e.terms)
     return outs
 
 
@@ -150,7 +141,7 @@ def _partials(e: Expression, owner: int, side: Side) -> dict:
     if side == "right" and e.ctx.parities[owner]:
         for terms in outs.values():
             for key, c in terms.items():
-                if len(key[2]) % 2:
+                if key[1].bit_count() % 2:
                     terms[key] = -c
     return {v: Expression(e.ctx, outs[v]) for v in sorted(outs) if outs[v]}
 

@@ -11,15 +11,19 @@ has a unique canonical form.  exp/sin/cos factors are kept
 structurally -- no functional identities are ever applied -- and their
 arguments (always parity-even) are interned per context so that equal
 arguments share one id and powers of equal factors merge.
+
+A monomial is keyed by two ints (see "packed monomial keys" below): a
+product of monomials is one integer addition and a popcount sign, and only
+rendering and identity decode a key, through unpack.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import itemgetter
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Order = tuple[int, ...]
@@ -35,6 +39,12 @@ FUNC_DERIVATIVE = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1)}
 
 #: value of each function kind at argument 0 (used by eval_zero_section)
 FUNC_AT_ZERO = {"exp": 1, "sin": 0, "cos": 1}
+
+#: width of one power slot of a packed key; the slot's top bit is a guard
+SLOT_BITS = 16
+
+#: largest power of one even jet or function factor in a monomial
+MAX_POWER = (1 << (SLOT_BITS - 1)) - 1
 
 
 class _JetFields(NamedTuple):
@@ -66,10 +76,11 @@ class FieldContext:
     Owners are numbered in declaration order: the k-th field is 2k and its
     antifield 2k+1, whose parity is the field parity flipped.  The
     context also owns the hash-cons table for function-factor arguments, the
-    cache of their plain text, and the two derivative caches of the
-    calculus: the summands of every derivation (a total derivative, or a
-    sweep of directed partials) on the odd parts and on the function parts of
-    monomial keys.
+    cache of their plain text, the numbering of packed monomial keys (a
+    slot per even jet or function unit, a bit per odd jet), and the
+    derivative cache of the calculus: the chain-rule summands of every
+    derivation (a total derivative, or a sweep of directed partials) on the
+    function parts of monomial keys.
     """
 
     def __init__(
@@ -104,14 +115,18 @@ class FieldContext:
         self._args: list[Expression] = []
         self._arg_keys: list[tuple] = []
         self._arg_index: dict[tuple, int] = {}
-        # The two derivative caches, filled by calculus._derive.  op is a
-        # direction d for D_d or (owner,) for the sweep of left partials,
-        # which the right partials share; both are graded derivations, so a
-        # monomial's summands are built from the cached summands of its odd
-        # part and function part.
-        # (odd, op) -> [(tag, odd', sign)]
-        self._odd_derivs: dict[tuple, list] = {}
-        # (funcs, op) -> [(tag, even', funcs', odd', coefficient)]
+        # Packed keys (see _one): the unit of each slot, the odd jet of each
+        # bit, one power of each unit as a key part, the masks of each owner's
+        # slots and of the function units' slots, and every slot's guard bit.
+        self._units: list = []
+        self._odd_jets: list[JetVar] = []
+        self._ones: dict = {}
+        self._masks = dict.fromkeys([*range(len(self.names)), "funcs"], 0)
+        self._guard = 0
+        # The derivative cache of calculus._derive: (funcs, op) -> [(tag,
+        # delta, odd', coefficient)], the chain-rule summands of op (a
+        # direction d for D_d, or (owner,) for a sweep of left partials) on a
+        # function part.  Even and odd parts are differentiated in place.
         self._func_derivs: dict[tuple, list] = {}
         # arg_id -> plain text of the argument, filled by textio
         self._arg_plain: dict[int, str] = {}
@@ -169,6 +184,24 @@ class FieldContext:
     def arg_key(self, arg_id: int) -> tuple:
         return self._arg_keys[arg_id]
 
+    # -- packed keys --------------------------------------------------------
+
+    def _one(self, unit) -> int:
+        """One power of a unit as a key part, numbered when first met: a bit
+        of odd for an odd JetVar, else a slot of packed."""
+        one = self._ones.get(unit)
+        if one is None:
+            if isinstance(unit, JetVar) and self.parities[unit.owner]:
+                one = self._ones[unit] = 1 << len(self._odd_jets)
+                self._odd_jets.append(unit)
+                return one
+            one = self._ones[unit] = 1 << (SLOT_BITS * len(self._units))
+            self._units.append(unit)
+            self._guard |= one << (SLOT_BITS - 1)
+            owner = unit.owner if isinstance(unit, JetVar) else "funcs"
+            self._masks[owner] |= one * ((1 << SLOT_BITS) - 1)
+        return one
+
 
 def _check_name(name: str) -> None:
     if not _NAME_RE.match(name):
@@ -178,100 +211,71 @@ def _check_name(name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# canonical monomial keys
+# packed monomial keys
 #
-# A term key is (even, funcs, odd) where
-#   even:  tuple of units (JetVar, power), sorted by JetVar, powers >= 1
-#   funcs: tuple of units ((kind, arg_id), power), sorted by (kind, arg_id)
-#   odd:   tuple of JetVar, strictly increasing
-# (a JetVar compares as the tuple (owner, degree, order): the canonical order)
-#
-# Keys are only built by merging keys that are already sorted (_mul_keys,
-# _merge_units, _insert_unit and _merge_odd); no monomial is ever re-sorted
-# from scratch.
-# An arg_id is a context's interning number, so the key order of function
-# units depends on interning history; display_funcs gives the order that
-# does not (kind, then argument structure), for printing and identity.
+# A term key is (packed, odd), two ints numbered per context in first-use
+# order (FieldContext._one).  packed has a SLOT_BITS-wide slot per even jet or
+# function unit (kind, arg_id), holding its power: powers commute, so a
+# product of even parts is their sum, and every slot's top bit stays clear,
+# so that a sum cannot carry into the next slot (_check_powers).  odd is a
+# bitmask of the odd jets; the coefficient is that of their product in bit
+# order, a product of odd parts a, b is zero when a & b and otherwise has the
+# sign (-1)^_crossings(a, b).  No fixed numbering follows the canonical
+# JetVar order once D raises jet orders, so unpack returns the sign that
+# turns a stored coefficient into that of the canonical product.  Arg ids
+# depend on interning history; display_funcs orders function units without.
 # ---------------------------------------------------------------------------
 
-_EMPTY_KEY = ((), (), ())
+_EMPTY_KEY = (0, 0)
 
 
-def _merge_units(a, b):
-    """Merge two sorted (atom, power) unit tuples, adding the powers of equal atoms."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ka, kb = a[i][0], b[j][0]
-        if ka == kb:
-            out.append((a[i][0], a[i][1] + b[j][1]))
-            i += 1
-            j += 1
-        elif ka < kb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _crossings(a: int, b: int) -> int:
+    """The transpositions that sort the odd product a*b (a & b == 0) into bit order."""
+    n = 0
+    while a:
+        low = a & -a
+        n += (b & (low - 1)).bit_count()
+        a ^= low
+    return n
 
 
-def _insert_unit(units, atom):
-    """A sorted (atom, power) unit tuple times one power of atom."""
-    i = bisect_left(units, atom, key=itemgetter(0))
-    if i < len(units) and units[i][0] == atom:
-        return units[:i] + ((atom, units[i][1] + 1),) + units[i + 1 :]
-    return units[:i] + ((atom, 1),) + units[i:]
+def _check_powers(ctx: FieldContext, out, *inputs) -> None:
+    """Raise ValueError when a key of out has a power past MAX_POWER; out is
+    read only when a power in the inputs reaches half a slot."""
+    top = ctx._guard
+    if inputs and not reduce(or_, (k[0] for keys in inputs for k in keys), 0) & top >> 1:
+        return
+    for packed, _ in out:
+        if packed & top:
+            raise ValueError(f"a power in a monomial is larger than {MAX_POWER}")
 
 
-def _merge_odd(a, b):
-    """Merge two ascending odd-jet tuples; returns (tuple, sign) or None.
+def unpack(ctx: FieldContext, key: tuple) -> tuple:
+    """Decode a term key into (even, funcs, odd, sign).
 
-    The sign is (-1)^k where k counts the transpositions needed to interleave
-    b into a; a repeated odd variable annihilates the monomial (None).
+    even holds (JetVar, power) units sorted by JetVar, funcs ((kind, arg_id),
+    power) units sorted by (kind, arg_id), odd the odd jets in JetVar order;
+    sign (+-1) turns the stored coefficient into that of even * funcs * odd.
     """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ka, kb = a[i], b[j]
-        if ka == kb:
-            return None
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i elements of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
-def _mul_keys(k1, k2):
-    """Graded product of two term keys; returns (key, sign) or None."""
-    merged_odd = _merge_odd(k1[2], k2[2])
-    if merged_odd is None:
-        return None
-    odd, sign = merged_odd
-    return (_merge_units(k1[0], k2[0]), _merge_units(k1[1], k2[1]), odd), sign
+    packed, odd = key
+    even, funcs = [], []
+    while packed:  # the slots, highest first
+        shift = (packed.bit_length() - 1) & -SLOT_BITS
+        power = packed >> shift
+        packed ^= power << shift
+        unit = ctx._units[shift // SLOT_BITS]
+        (even if isinstance(unit, JetVar) else funcs).append((unit, power))
+    jets = []
+    while odd:
+        low = odd & -odd
+        jets.append(ctx._odd_jets[low.bit_length() - 1])
+        odd ^= low
+    swaps = sum(v > w for i, v in enumerate(jets) for w in jets[i + 1 :])
+    return tuple(sorted(even)), tuple(sorted(funcs)), tuple(sorted(jets)), -1 if swaps % 2 else 1
 
 
 def display_funcs(ctx: FieldContext, funcs: tuple) -> list:
-    """A key's function units in display order: by kind, then argument structure.
+    """Decoded function units in display order: by kind, then argument structure.
 
     Within one context arg ids and argument structures correspond one to one,
     so this order is the same for equal factors whatever the interning history.
@@ -286,7 +290,7 @@ def _structural_funcs(ctx: FieldContext, funcs: tuple) -> tuple:
 
 def display_key(ctx: FieldContext, key: tuple) -> tuple:
     """The sort key of a monomial key in the canonical display order."""
-    even, funcs, odd = key
+    even, funcs, odd, _ = unpack(ctx, key)
     return (even, _structural_funcs(ctx, funcs), odd)
 
 
@@ -346,7 +350,7 @@ class Expression:
     @property
     def parity(self) -> int | None:
         """0 or 1 for homogeneous expressions, None for mixed; zero is even."""
-        seen = {len(odd) % 2 for (_, _, odd) in self.terms}
+        seen = {odd.bit_count() % 2 for _, odd in self.terms}
         if not seen:
             return 0
         if len(seen) > 1:
@@ -388,12 +392,15 @@ class Expression:
             return self.scale(other)
         self._require_same_ctx(other)
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                prod = _mul_keys(k1, k2)
-                if prod is not None:
-                    c = c1 * c2
-                    _add_term(out, prod[0], c if prod[1] > 0 else -c)
+        for (p1, o1), c1 in self.terms.items():
+            for (p2, o2), c2 in other.terms.items():
+                if o1 & o2:
+                    continue
+                c = c1 * c2
+                if o1 and o2 and _crossings(o1, o2) % 2:
+                    c = -c
+                _add_term(out, (p1 + p2, o1 | o2), c)
+        _check_powers(self.ctx, out, self.terms, other.terms)
         return Expression(self.ctx, out)
 
     def __rmul__(self, other):
@@ -441,7 +448,10 @@ class Expression:
         """A history-independent identity for interning and stable ordering."""
         ctx = self.ctx
         rows = []
-        for (even, funcs, odd), coeff in self.terms.items():
+        for key, coeff in self.terms.items():
+            even, funcs, odd, sign = unpack(ctx, key)
+            if sign < 0:
+                coeff = -coeff
             rows.append(
                 (
                     tuple((v.owner, v.order, p) for v, p in even),
@@ -487,10 +497,7 @@ def jet(ctx: FieldContext, ref: Union[int, str], order=0) -> Expression:
     """The jet variable of `ref` (field/antifield name or index) at `order`."""
     owner = ctx.owner(ref)
     v = JetVar(owner, normalize_order(ctx, order))
-    if ctx.parities[owner]:
-        key = ((), (), (v,))
-    else:
-        key = (((v, 1),), (), ())
+    key = (0, ctx._one(v)) if ctx.parities[owner] else (ctx._one(v), 0)
     return Expression(ctx, {key: 1})
 
 
@@ -498,7 +505,7 @@ def _func(kind: str, arg: Expression) -> Expression:
     if arg.parity != 0:
         raise ValueError(f"{kind} argument must be parity-even")
     aid = arg.ctx.intern_arg(arg)
-    return Expression(arg.ctx, {((), (((kind, aid), 1),), ()): 1})
+    return Expression(arg.ctx, {(arg.ctx._one((kind, aid)), 0): 1})
 
 
 def exp(arg: Expression) -> Expression:
@@ -522,11 +529,11 @@ def eval_zero_section(e: Expression) -> Rat:
     rational value and raises ValueError.
     """
     total = 0
-    for (even, funcs, odd), coeff in e.terms.items():
-        if even or odd:
+    for (packed, odd), coeff in e.terms.items():
+        if packed & ~e.ctx._masks["funcs"] or odd:
             continue
         value = coeff
-        for (kind, aid), power in funcs:
+        for (kind, aid), power in unpack(e.ctx, (packed, odd))[1]:
             at0 = eval_zero_section(e.ctx.arg(aid))
             if at0 == 0:
                 fval = FUNC_AT_ZERO[kind]
@@ -543,7 +550,8 @@ def eval_zero_section(e: Expression) -> Rat:
 
 def _jets(e: Expression):
     """Every JetVar occurrence in e, function arguments included."""
-    for even, funcs, odd in e.terms:
+    for key in e.terms:
+        even, funcs, odd, _ = unpack(e.ctx, key)
         for v, _ in even:
             yield v
         yield from odd

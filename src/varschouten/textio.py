@@ -37,12 +37,13 @@ from .core import (
     FieldContext,
     JetVar,
     RESERVED_NAMES,
+    _structural_funcs,
     cos,
     exp,
     display_funcs,
-    display_key,
     jet,
     sin,
+    unpack,
 )
 
 _FUNC_BUILDERS = {"exp": exp, "sin": sin, "cos": cos}
@@ -328,8 +329,7 @@ def _coeff_text(c) -> str:
     return str(c)
 
 
-def _plain_factors(ctx: FieldContext, key) -> list[str]:
-    even, funcs, odd = key
+def _plain_factors(ctx: FieldContext, even, funcs, odd) -> list[str]:
     parts = []
     for v, power in even:
         text = _jet_name(ctx, v)
@@ -347,9 +347,8 @@ def _plain_factors(ctx: FieldContext, key) -> list[str]:
 def _plain(e: Expression, memo: Optional[dict] = None) -> str:
     """Plain text of a density.
 
-    `memo` maps a monomial key to its display sort key and its factor text;
-    densities of one context may share it, so that a report renders each
-    distinct monomial once.
+    `memo` maps a monomial key to its display sort key, factor text and sign
+    (see unpack); the densities of a report share it, to decode each once.
     """
     if e.is_zero():
         return "0"
@@ -360,11 +359,13 @@ def _plain(e: Expression, memo: Optional[dict] = None) -> str:
     for key, coeff in e.terms.items():
         row = memo.get(key)
         if row is None:
-            row = memo[key] = (display_key(ctx, key), "*".join(_plain_factors(ctx, key)))
-        rows.append((row, coeff))
+            even, funcs, odd, sign = unpack(ctx, key)
+            factors = "*".join(_plain_factors(ctx, even, funcs, odd))
+            row = memo[key] = ((even, _structural_funcs(ctx, funcs), odd), factors, sign)
+        rows.append((row, coeff if row[2] > 0 else -coeff))
     rows.sort(key=lambda r: r[0][0])
     chunks = []
-    for (_, factors), coeff in rows:
+    for (_, factors, _), coeff in rows:
         magnitude = abs(coeff)
         if magnitude != 1 or not factors:
             body = _coeff_text(magnitude) + ("*" + factors if factors else "")
@@ -401,8 +402,8 @@ def _latex(e: Expression) -> str:
         return "0"
     chunks = []
     for key in e.monomial_order():
-        coeff = e.terms[key]
-        even, funcs, odd = key
+        even, funcs, odd, sign = unpack(e.ctx, key)
+        coeff = e.terms[key] if sign > 0 else -e.terms[key]
         parts = []
         magnitude = abs(coeff)
         if magnitude != 1 or (not even and not funcs and not odd):
@@ -440,7 +441,7 @@ def density_to_json(e: Expression) -> dict:
     def encode(x: Expression) -> dict:
         rows = []
         for key in x.monomial_order():
-            even, funcs, odd = key
+            even, funcs, odd, sign = unpack(ctx, key)
             func_rows = []
             for (kind, aid), power in display_funcs(ctx, funcs):
                 if aid not in remap:
@@ -449,7 +450,7 @@ def density_to_json(e: Expression) -> dict:
                 func_rows.append([kind, remap[aid], power])
             rows.append(
                 {
-                    "coeff": _coeff_text(x.terms[key]),
+                    "coeff": _coeff_text(x.terms[key] if sign > 0 else -x.terms[key]),
                     "even": [[_jet_name(ctx, v), power] for v, power in even],
                     "funcs": func_rows,
                     "odd": [_jet_name(ctx, v) for v in odd],

@@ -18,8 +18,9 @@ from varschouten import (
     jet_orders,
     parse_density,
     sin,
+    total_derivative,
 )
-from varschouten.core import _insert_unit, _merge_units, normalize_order
+from varschouten.core import MAX_POWER, normalize_order
 
 
 class TestFieldContext:
@@ -105,6 +106,37 @@ class TestArithmetic:
         assert not one.is_zero()
         assert Expression.zero(ctx).is_zero()
         assert (one - one).is_zero()
+
+
+class TestPowerLimit:
+    """A power lives in a fixed-width slot of a packed key; past MAX_POWER an
+    operation raises ValueError instead of carrying into the next slot."""
+
+    def test_power_past_the_slot_raises(self, ctx):
+        q = jet(ctx, "q")
+        assert format_density(q**MAX_POWER) == f"q^{MAX_POWER}"
+        with pytest.raises(ValueError, match="larger than"):
+            q**70000
+
+    def test_repeated_squaring(self, ctx):
+        e = jet(ctx, "q") * jet(ctx, "q", 1)
+        for _ in range(14):
+            e = e * e
+        assert format_density(e) == "q^16384*q[1]^16384"
+        with pytest.raises(ValueError, match="larger than"):
+            e * e
+        assert format_density(e * jet(ctx, "q", 2)) == "q^16384*q[1]^16384*q[2]"
+
+    def test_derivatives_past_the_slot_raise(self, ctx):
+        q, q1 = jet(ctx, "q"), jet(ctx, "q", 1)
+        with pytest.raises(ValueError, match="larger than"):
+            total_derivative(q * q1**MAX_POWER)  # the raised jet's power
+        with pytest.raises(ValueError, match="larger than"):
+            total_derivative(exp(q**20000) * q**20000)  # the chain rule's product
+        d = total_derivative(exp(q**16000) * q**16000)
+        assert format_density(d) == (
+            "16000*q^15999*q[1]*exp(q^16000) + 16000*q^31999*q[1]*exp(q^16000)"
+        )
 
 
 class TestParity:
@@ -205,27 +237,3 @@ class TestJetHelpers:
         for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(clone) is JetVar and clone == v
             assert (clone.owner, clone.order) == (0, (1,))
-
-
-class TestInsertUnit:
-    JET_UNITS = ((JetVar(1, (1,)), 1), (JetVar(1, (3,)), 2), (JetVar(2, (0,)), 1))
-    FUNC_UNITS = ((("cos", 3), 1), (("exp", 0), 2), (("sin", 1), 1))
-
-    @pytest.mark.parametrize(
-        "units, atom",
-        [
-            (JET_UNITS, JetVar(0, (5,))),  # first
-            (JET_UNITS, JetVar(1, (2,))),  # middle
-            (JET_UNITS, JetVar(4, (0,))),  # last
-            (JET_UNITS, JetVar(1, (3,))),  # present: its power rises
-            (JET_UNITS, JetVar(1, (1,))),
-            ((), JetVar(0, (0,))),
-            (FUNC_UNITS, ("cos", 0)),  # first
-            (FUNC_UNITS, ("exp", 2)),  # middle
-            (FUNC_UNITS, ("sin", 4)),  # last
-            (FUNC_UNITS, ("exp", 0)),  # present
-            (FUNC_UNITS, ("sin", 1)),
-        ],
-    )
-    def test_agrees_with_merging_one_unit(self, units, atom):
-        assert _insert_unit(units, atom) == _merge_units(units, ((atom, 1),))

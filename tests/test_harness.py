@@ -22,6 +22,7 @@ from varschouten import (
     schouten_bracket,
 )
 from varschouten.cli import main
+from varschouten.core import MAX_POWER
 from varschouten.fuzz import FuzzParams
 from varschouten.textio import MAX_DIGITS, MAX_EXPONENT, MAX_JET_ORDER, MAX_NESTING
 
@@ -334,6 +335,17 @@ class TestErrorHandling:
         assert err == (
             f"error: line 1, column {column}: exponent larger than {MAX_EXPONENT}\n"
         )
+
+    @pytest.mark.parametrize("factors", [32, 33])
+    def test_power_past_a_key_slot(self, capsys, factors):
+        # each factor is within MAX_EXPONENT, and their product may pass MAX_POWER
+        density = "*".join(["q^1000"] * factors)
+        code, out, err = run(["normalize", "--density", density], capsys)
+        if 1000 * factors <= MAX_POWER:
+            assert (code, out, err) == (0, f"q^{1000 * factors}\n", "")
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: a power in a monomial is larger than {MAX_POWER}\n"
 
     @pytest.mark.parametrize("digit", ["²", "٣"])  # superscript two, Arabic-Indic three
     def test_non_ascii_digit_exits_2(self, capsys, digit):

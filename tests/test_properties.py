@@ -27,6 +27,7 @@ from varschouten import (
     total_derivative,
 )
 from varschouten.calculus import _partials
+from varschouten.core import unpack
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -156,11 +157,16 @@ def _asks(ctx) -> list:
     return asks + [(owner, side) for owner in range(len(ctx.names)) for side in ("left", "right")]
 
 
+def _decoded(d: Expression) -> list:
+    """(even, funcs, odd, canonical coefficient) per term of d, in stored order."""
+    return [(*key[:3], c * key[3]) for key, c in ((unpack(d.ctx, k), c) for k, c in d.terms.items())]
+
+
 def _ask(e: Expression, ask, text: bool):
-    """One ask of e, as its terms in stored order, or as plain text when
-    `text` is set (the display order, which does not depend on interning
-    history)."""
-    show = format_density if text else (lambda d: list(d.terms.items()))
+    """One ask of e, as its terms decoded in stored order (keys are numbers
+    local to a context; see unpack), or as plain text when `text` is set
+    (the display order, which does not depend on interning history)."""
+    show = format_density if text else _decoded
     if ask[0] == "D":
         return show(total_derivative(e, ask[1]))
     return [(v, show(d)) for v, d in _partials(e, *ask).items()]

@@ -17,6 +17,7 @@ from varschouten import (
     is_exact,
     jacobi_defect,
     jet,
+    parse_context,
     parse_density,
     reorder_sign_ledger,
     scale_add,
@@ -25,7 +26,7 @@ from varschouten import (
     total_derivative,
     zero_functional,
 )
-from varschouten.fuzz import FuzzParams, random_functional
+from varschouten.fuzz import FuzzParams, random_functional, trial_seed
 
 
 def test_golden_inner_bracket_value(ctx, golden):
@@ -83,6 +84,27 @@ def test_graded_antisymmetry(ctx, golden):
     F, G, H = golden
     for a, b in ((F, G), (G, H), (F, H), (F, F)):
         assert functional_eq(graded_symmetry_defect(a, b), zero_functional(ctx))
+
+
+@pytest.mark.parametrize(
+    "text, max_jet_order",
+    [
+        ("indep x\nfield q even antifield p\n", 2),
+        ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 1),
+        ("indep x y\nfield q even antifield p\n", 1),
+        ("indep t\nfield psi odd antifield chi\n", 1),
+    ],
+    ids=["line", "pairs", "plane", "odd"],
+)
+def test_graded_symmetry_defect_is_the_zero_density(text, max_jet_order):
+    # [[F,G]] + s[[G,F]] vanishes as a density, not only modulo divergences
+    ctx = parse_context(text)
+    params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
+    for index in range(30):
+        rng = random.Random(trial_seed(2026, index))
+        F, G, H = (random_functional(ctx, rng, params, label) for label in "FGH")
+        for a, b in ((F, G), (G, H), (F, H)):
+            assert graded_symmetry_defect(a, b).density.is_zero(), (index, a.label, b.label)
 
 
 def test_bilinearity(ctx, golden):

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from varschouten import euler, format_density, parse_context, parse_density, total_derivative
+from varschouten.core import unpack
 
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
@@ -32,7 +33,8 @@ def _to_sympy(e):
     """A density in q alone as a SymPy expression in q(x) and its derivatives."""
     ctx = e.ctx
     total = sympy.Integer(0)
-    for (even, funcs, odd), c in e.terms.items():
+    for key, c in e.terms.items():
+        even, funcs, odd, _ = unpack(ctx, key)
         assert not odd
         term = sympy.Rational(c.numerator, c.denominator)
         for jv, p in even:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,12 @@ from varschouten import (
     format_density,
     jet,
     jet_orders,
+    parse_context,
     parse_density,
     sin,
     total_derivative,
 )
-from varschouten.core import MAX_POWER, normalize_order
+from varschouten.core import MAX_POWER, normalize_order, unpack
 
 
 class TestFieldContext:
@@ -237,3 +239,49 @@ class TestJetHelpers:
         for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert type(clone) is JetVar and clone == v
             assert (clone.owner, clone.order) == (0, (1,))
+
+
+class TestInsertUnit:
+    """A monomial times one more jet or function unit: the powers of equal
+    units add, and a new unit joins with power one."""
+
+    # owners 1, 2 and 4 are even; owner 0 is odd; arg ids 0..4 are interned first
+    CONTEXT = "indep x\nfield a odd antifield b\nfield c even antifield d\nfield e even antifield f\n"
+    JET_UNITS = ((JetVar(1, (1,)), 1), (JetVar(1, (3,)), 2), (JetVar(2, (0,)), 1))
+    FUNC_UNITS = ((("cos", 3), 1), (("exp", 0), 2), (("sin", 1), 1))
+
+    @pytest.mark.parametrize(
+        "units, atom",
+        [
+            (JET_UNITS, JetVar(0, (5,))),  # an odd jet
+            (JET_UNITS, JetVar(1, (2,))),
+            (JET_UNITS, JetVar(4, (0,))),
+            (JET_UNITS, JetVar(1, (3,))),  # present: its power rises
+            (JET_UNITS, JetVar(1, (1,))),
+            ((), JetVar(0, (0,))),
+            (FUNC_UNITS, ("cos", 0)),
+            (FUNC_UNITS, ("exp", 2)),
+            (FUNC_UNITS, ("sin", 4)),
+            (FUNC_UNITS, ("exp", 0)),  # present
+            (FUNC_UNITS, ("sin", 1)),
+        ],
+    )
+    def test_agrees_with_merging_one_unit(self, units, atom):
+        ctx = parse_context(self.CONTEXT)
+        for k in range(5):
+            assert ctx.intern_arg(jet(ctx, 2, k)) == k
+
+        def factor(unit):
+            if isinstance(unit, JetVar):
+                return jet(ctx, unit.owner, unit.order)
+            return {"exp": exp, "sin": sin, "cos": cos}[unit[0]](ctx.arg(unit[1]))
+
+        m = Expression.const(ctx, 1)
+        for unit, power in units:
+            m = m * factor(unit) ** power
+        ((key, c),) = (m * factor(atom)).terms.items()
+        even, funcs, odd, sign = unpack(ctx, key)
+        assert c * sign == 1
+        assert Counter(dict(even + funcs)) + Counter(odd) == Counter(dict(units)) + Counter([atom])
+        assert all(ctx.parities[v.owner] for v in odd)
+        assert all(not ctx.parities[v.owner] for v, _ in even)

@@ -14,7 +14,8 @@ arguments share one id and powers of equal factors merge.
 
 A monomial is keyed by two ints (see "packed monomial keys" below): a
 product of monomials is one integer addition and a popcount sign, and only
-rendering and identity decode a key, through unpack.
+rendering and identity decode a key, through unpack, which returns every part
+of a monomial in its display order.
 """
 
 from __future__ import annotations
@@ -76,11 +77,10 @@ class FieldContext:
     Owners are numbered in declaration order: the k-th field is 2k and its
     antifield 2k+1, whose parity is the field parity flipped.  The
     context also owns the hash-cons table for function-factor arguments, the
-    cache of their plain text, the numbering of packed monomial keys (a
-    slot per even jet or function unit, a bit per odd jet), and the
-    derivative cache of the calculus: the chain-rule summands of every
-    derivation (a total derivative, or a sweep of directed partials) on the
-    function parts of monomial keys.
+    numbering of packed monomial keys (a slot per even jet or function unit,
+    a bit per odd jet), and the derivative cache of the calculus: the
+    chain-rule summands of every derivation (a total derivative, or a sweep
+    of directed partials) on the function parts of monomial keys.
     """
 
     def __init__(
@@ -128,8 +128,6 @@ class FieldContext:
         # direction d for D_d, or (owner,) for a sweep of left partials) on a
         # function part.  Even and odd parts are differentiated in place.
         self._func_derivs: dict[tuple, list] = {}
-        # arg_id -> plain text of the argument, filled by textio
-        self._arg_plain: dict[int, str] = {}
 
     def _add_owner(self, name: str, parity: int) -> int:
         idx = len(self.names)
@@ -222,8 +220,8 @@ def _check_name(name: str) -> None:
 # order, a product of odd parts a, b is zero when a & b and otherwise has the
 # sign (-1)^_crossings(a, b).  No fixed numbering follows the canonical
 # JetVar order once D raises jet orders, so unpack returns the sign that
-# turns a stored coefficient into that of the canonical product.  Arg ids
-# depend on interning history; display_funcs orders function units without.
+# turns a stored coefficient into that of the canonical product, and orders
+# function units by argument structure, not by history-dependent arg ids.
 # ---------------------------------------------------------------------------
 
 _EMPTY_KEY = (0, 0)
@@ -251,11 +249,14 @@ def _check_powers(ctx: FieldContext, out, *inputs) -> None:
 
 
 def unpack(ctx: FieldContext, key: tuple) -> tuple:
-    """Decode a term key into (even, funcs, odd, sign).
+    """Decode a term key into (even, funcs, odd, sign), each part in display order.
 
     even holds (JetVar, power) units sorted by JetVar, funcs ((kind, arg_id),
-    power) units sorted by (kind, arg_id), odd the odd jets in JetVar order;
-    sign (+-1) turns the stored coefficient into that of even * funcs * odd.
+    power) units sorted by kind, then argument structure (ctx.arg_key), odd
+    the odd jets in JetVar order; sign (+-1) turns the stored coefficient into
+    that of even * funcs * odd.  Within one context arg ids and argument
+    structures correspond one to one, so equal factors come in the same order
+    whatever the interning history.
     """
     packed, odd = key
     even, funcs = [], []
@@ -265,33 +266,20 @@ def unpack(ctx: FieldContext, key: tuple) -> tuple:
         packed ^= power << shift
         unit = ctx._units[shift // SLOT_BITS]
         (even if isinstance(unit, JetVar) else funcs).append((unit, power))
+    if len(funcs) > 1:
+        funcs.sort(key=lambda u: (u[0][0], ctx._arg_keys[u[0][1]]))
     jets = []
     while odd:
         low = odd & -odd
         jets.append(ctx._odd_jets[low.bit_length() - 1])
         odd ^= low
     swaps = sum(v > w for i, v in enumerate(jets) for w in jets[i + 1 :])
-    return tuple(sorted(even)), tuple(sorted(funcs)), tuple(sorted(jets)), -1 if swaps % 2 else 1
-
-
-def display_funcs(ctx: FieldContext, funcs: tuple) -> list:
-    """Decoded function units in display order: by kind, then argument structure.
-
-    Within one context arg ids and argument structures correspond one to one,
-    so this order is the same for equal factors whatever the interning history.
-    """
-    return sorted(funcs, key=lambda u: (u[0][0], ctx.arg_key(u[0][1])))
+    return tuple(sorted(even)), tuple(funcs), tuple(sorted(jets)), -1 if swaps % 2 else 1
 
 
 def _structural_funcs(ctx: FieldContext, funcs: tuple) -> tuple:
-    """Function units in display order, each arg id replaced by its structural key."""
-    return tuple((kind, ctx.arg_key(aid), p) for (kind, aid), p in display_funcs(ctx, funcs))
-
-
-def display_key(ctx: FieldContext, key: tuple) -> tuple:
-    """The sort key of a monomial key in the canonical display order."""
-    even, funcs, odd, _ = unpack(ctx, key)
-    return (even, _structural_funcs(ctx, funcs), odd)
+    """Decoded function units, each arg id replaced by its structural key."""
+    return tuple((kind, ctx.arg_key(aid), p) for (kind, aid), p in funcs)
 
 
 def _demote(c: Rat) -> Rat:
@@ -299,6 +287,13 @@ def _demote(c: Rat) -> Rat:
     if type(c) is not int and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _rational(value) -> Rat:
+    """value as a coefficient: an int or a Fraction, never a rounded float (TypeError)."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
+    return _demote(Fraction(value))
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -337,7 +332,7 @@ class Expression:
 
     @staticmethod
     def const(ctx: FieldContext, value: Rat) -> "Expression":
-        value = _demote(Fraction(value))
+        value = _rational(value)
         if not value:
             return Expression(ctx)
         return Expression(ctx, {_EMPTY_KEY: value})
@@ -366,23 +361,25 @@ class Expression:
         if self.ctx is not other.ctx:
             raise ValueError("expressions belong to different field contexts")
 
-    def __add__(self, other: "Expression") -> "Expression":
+    def _sum(self, other, sign: int):
+        if not isinstance(other, Expression):
+            return NotImplemented
         self._require_same_ctx(other)
         out = dict(self.terms)
-        _accumulate(out, other, 1)
+        _accumulate(out, other, sign)
         return Expression(self.ctx, out)
 
+    def __add__(self, other: "Expression") -> "Expression":
+        return self._sum(other, 1)
+
     def __sub__(self, other: "Expression") -> "Expression":
-        self._require_same_ctx(other)
-        out = dict(self.terms)
-        _accumulate(out, other, -1)
-        return Expression(self.ctx, out)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "Expression":
         return Expression(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def scale(self, factor: Rat) -> "Expression":
-        factor = _demote(Fraction(factor))
+        factor = _rational(factor)
         if not factor:
             return Expression(self.ctx)
         return Expression(self.ctx, {k: _demote(c * factor) for k, c in self.terms.items()})
@@ -390,6 +387,8 @@ class Expression:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, Expression):
+            return NotImplemented
         self._require_same_ctx(other)
         out: dict = {}
         for (p1, o1), c1 in self.terms.items():
@@ -403,10 +402,7 @@ class Expression:
         _check_powers(self.ctx, out, self.terms, other.terms)
         return Expression(self.ctx, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # int * e or Fraction * e: a rational scalar commutes
 
     def __pow__(self, exponent: int) -> "Expression":
         if not isinstance(exponent, int) or exponent < 0:
@@ -461,11 +457,6 @@ class Expression:
                 )
             )
         return tuple(sorted(rows))
-
-    def monomial_order(self) -> list:
-        """Term keys in the canonical display order (structural, deterministic)."""
-        ctx = self.ctx
-        return sorted(self.terms, key=lambda key: display_key(ctx, key))
 
 
 # ---------------------------------------------------------------------------

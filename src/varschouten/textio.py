@@ -40,7 +40,6 @@ from .core import (
     _structural_funcs,
     cos,
     exp,
-    display_funcs,
     jet,
     sin,
     unpack,
@@ -329,53 +328,69 @@ def _coeff_text(c) -> str:
     return str(c)
 
 
-def _plain_factors(ctx: FieldContext, even, funcs, odd) -> list[str]:
-    parts = []
-    for v, power in even:
-        text = _jet_name(ctx, v)
-        parts.append(text if power == 1 else f"{text}^{power}")
-    for (kind, aid), power in display_funcs(ctx, funcs):
-        arg = ctx._arg_plain.get(aid)
-        if arg is None:
-            arg = ctx._arg_plain[aid] = _plain(ctx.arg(aid))
-        text = f"{kind}({arg})"
-        parts.append(text if power == 1 else f"{text}^{power}")
-    parts.extend(_jet_name(ctx, v) for v in odd)
-    return parts
+def _rows(e: Expression, memo: dict, factors) -> list:
+    """(sort key, canonical coefficient, factors) per monomial of e, in display order.
 
-
-def _plain(e: Expression, memo: Optional[dict] = None) -> str:
-    """Plain text of a density.
-
-    `memo` maps a monomial key to its display sort key, factor text and sign
-    (see unpack); the densities of a report share it, to decode each once.
+    memo is shared by every density of one output: it maps each monomial key,
+    decoded once, to its sort key, `factors(ctx, even, funcs, odd, memo)` and
+    sign (see unpack), and each arg id to the output's form of the argument.
     """
-    if e.is_zero():
-        return "0"
-    if memo is None:
-        memo = {}
     ctx = e.ctx
     rows = []
     for key, coeff in e.terms.items():
         row = memo.get(key)
         if row is None:
             even, funcs, odd, sign = unpack(ctx, key)
-            factors = "*".join(_plain_factors(ctx, even, funcs, odd))
-            row = memo[key] = ((even, _structural_funcs(ctx, funcs), odd), factors, sign)
-        rows.append((row, coeff if row[2] > 0 else -coeff))
-    rows.sort(key=lambda r: r[0][0])
+            row = memo[key] = (
+                (even, _structural_funcs(ctx, funcs), odd),
+                factors(ctx, even, funcs, odd, memo),
+                sign,
+            )
+        rows.append((row[0], coeff if row[2] > 0 else -coeff, row[1]))
+    rows.sort(key=lambda r: r[0])
+    return rows
+
+
+def _arg_text(ctx: FieldContext, aid: int, memo: dict, render) -> str:
+    """The text of a function argument as `render` writes it, once per output."""
+    text = memo.get(aid)
+    if text is None:
+        text = memo[aid] = render(ctx.arg(aid), memo)
+    return text
+
+
+def _signed_sum(rows: list, coeff_text, sep: str) -> str:
+    """Join rows of _rows as a signed sum; a coefficient of magnitude one is
+    written only when there are no factors."""
     chunks = []
-    for (_, factors, _), coeff in rows:
+    for _, coeff, factors in rows:
         magnitude = abs(coeff)
         if magnitude != 1 or not factors:
-            body = _coeff_text(magnitude) + ("*" + factors if factors else "")
+            body = coeff_text(magnitude) + (sep + factors if factors else "")
         else:
             body = factors
         if not chunks:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:
             chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(chunks)
+    return "".join(chunks) or "0"
+
+
+def _plain_factors(ctx: FieldContext, even, funcs, odd, memo: dict) -> str:
+    parts = []
+    for v, power in even:
+        text = _jet_name(ctx, v)
+        parts.append(text if power == 1 else f"{text}^{power}")
+    for (kind, aid), power in funcs:
+        text = f"{kind}({_arg_text(ctx, aid, memo, _plain)})"
+        parts.append(text if power == 1 else f"{text}^{power}")
+    parts.extend(_jet_name(ctx, v) for v in odd)
+    return "*".join(parts)
+
+
+def _plain(e: Expression, memo: dict) -> str:
+    """Plain text of a density; `memo` is that of one output (see _rows)."""
+    return _signed_sum(_rows(e, memo, _plain_factors), _coeff_text, "*")
 
 
 def _latex_jet(ctx: FieldContext, v: JetVar) -> str:
@@ -397,35 +412,33 @@ def _latex_power(base: str, power: int) -> str:
     return base + "^{" + str(power) + "}"
 
 
-def _latex(e: Expression) -> str:
-    if e.is_zero():
-        return "0"
-    chunks = []
-    for key in e.monomial_order():
-        even, funcs, odd, sign = unpack(e.ctx, key)
-        coeff = e.terms[key] if sign > 0 else -e.terms[key]
-        parts = []
-        magnitude = abs(coeff)
-        if magnitude != 1 or (not even and not funcs and not odd):
-            num, _, den = _coeff_text(magnitude).partition("/")
-            parts.append("\\frac{" + num + "}{" + den + "}" if den else num)
-        for v, power in even:
-            parts.append(_latex_power(_latex_jet(e.ctx, v), power))
-        for (kind, aid), power in display_funcs(e.ctx, funcs):
-            arg = _latex(e.ctx.arg(aid))
-            if kind == "exp":
-                parts.append(_latex_power("e^{" + arg + "}", power))
-            elif power == 1:
-                parts.append("\\" + kind + "(" + arg + ")")
-            else:
-                parts.append("\\" + kind + "^{" + str(power) + "}(" + arg + ")")
-        parts.extend(_latex_jet(e.ctx, v) for v in odd)
-        body = " ".join(parts)
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
+def _latex_factors(ctx: FieldContext, even, funcs, odd, memo: dict) -> str:
+    parts = [_latex_power(_latex_jet(ctx, v), power) for v, power in even]
+    for (kind, aid), power in funcs:
+        arg = _arg_text(ctx, aid, memo, _latex)
+        if kind == "exp":
+            parts.append(_latex_power("e^{" + arg + "}", power))
+        elif power == 1:
+            parts.append("\\" + kind + "(" + arg + ")")
         else:
-            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(chunks)
+            parts.append("\\" + kind + "^{" + str(power) + "}(" + arg + ")")
+    parts.extend(_latex_jet(ctx, v) for v in odd)
+    return " ".join(parts)
+
+
+def _latex_coeff(c) -> str:
+    num, _, den = _coeff_text(c).partition("/")
+    return "\\frac{" + num + "}{" + den + "}" if den else num
+
+
+def _latex(e: Expression, memo: dict) -> str:
+    """LaTeX of a density; `memo` is that of one output (see _rows)."""
+    return _signed_sum(_rows(e, memo, _latex_factors), _latex_coeff, " ")
+
+
+def _json_factors(ctx: FieldContext, even, funcs, odd, memo: dict) -> tuple:
+    names = [(_jet_name(ctx, v), power) for v, power in even]
+    return names, funcs, [_jet_name(ctx, v) for v in odd]
 
 
 def density_to_json(e: Expression) -> dict:
@@ -435,37 +448,32 @@ def density_to_json(e: Expression) -> dict:
     result is independent of the context's interning history.
     """
     ctx = e.ctx
-    remap: dict[int, int] = {}
-    queue: list[int] = []
+    memo: dict = {}  # see _rows; an arg id maps to its renumbered id
+    queue: list[int] = []  # arg ids by renumbered id
+
+    def arg_id(aid: int) -> int:
+        if aid not in memo:
+            memo[aid] = len(queue)
+            queue.append(aid)
+        return memo[aid]
 
     def encode(x: Expression) -> dict:
-        rows = []
-        for key in x.monomial_order():
-            even, funcs, odd, sign = unpack(ctx, key)
-            func_rows = []
-            for (kind, aid), power in display_funcs(ctx, funcs):
-                if aid not in remap:
-                    remap[aid] = len(remap)
-                    queue.append(aid)
-                func_rows.append([kind, remap[aid], power])
-            rows.append(
+        # ids are given in display order; every row gets lists of its own
+        return {
+            "monomials": [
                 {
-                    "coeff": _coeff_text(x.terms[key] if sign > 0 else -x.terms[key]),
-                    "even": [[_jet_name(ctx, v), power] for v, power in even],
-                    "funcs": func_rows,
-                    "odd": [_jet_name(ctx, v) for v in odd],
+                    "coeff": _coeff_text(coeff),
+                    "even": [list(u) for u in even],
+                    "funcs": [[kind, arg_id(aid), power] for (kind, aid), power in funcs],
+                    "odd": list(odd),
                 }
-            )
-        return {"monomials": rows}
+                for _, coeff, (even, funcs, odd) in _rows(x, memo, _json_factors)
+            ]
+        }
 
     top = encode(e)
-    args: dict[str, dict] = {}
-    position = 0
-    while position < len(queue):
-        aid = queue[position]
-        args[str(remap[aid])] = encode(ctx.arg(aid))
-        position += 1
-    top["args"] = args
+    # encoding an argument may append to queue; the loop reaches those too
+    top["args"] = {str(i): encode(ctx.arg(aid)) for i, aid in enumerate(queue)}
     return top
 
 
@@ -476,11 +484,11 @@ def _dumps(obj) -> str:
 def format_density(e: Expression, style: str = "plain") -> str:
     """Render a density as canonical text: "plain", "json", or "latex"."""
     if style == "plain":
-        return _plain(e)
+        return _plain(e, {})
     if style == "json":
         return _dumps(density_to_json(e))
     if style == "latex":
-        return _latex(e)
+        return _latex(e, {})
     raise ValueError(f"unknown format {style!r}")
 
 
@@ -527,7 +535,7 @@ def _group_row(g, memo: dict) -> dict:
 
 
 def trace_report_to_json(report) -> dict:
-    memo: dict = {}  # shared by every density of the report (see _plain)
+    memo: dict = {}  # shared by every density of the report (see _rows)
     sections = {}
     for name, terms, groups in (
         ("lhs", report.lhs_terms, report.lhs_groups),
@@ -564,7 +572,7 @@ def format_trace_report(report, style: str = "plain") -> str:
         return _dumps(trace_report_to_json(report))
     if style != "plain":
         raise ValueError(f"unknown format {style!r}")
-    memo: dict = {}  # shared by every density of the report (see _plain)
+    memo: dict = {}  # shared by every density of the report (see _rows)
     p = report.parities
     lines = [
         "shifted-graded Jacobi trace",

@@ -109,6 +109,33 @@ class TestArithmetic:
         assert Expression.zero(ctx).is_zero()
         assert (one - one).is_zero()
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda q: q + 1,
+            lambda q: 1 + q,
+            lambda q: q - 1,
+            lambda q: 1 - q,
+            lambda q: q * 0.5,
+            lambda q: 0.5 * q,
+            lambda q: q * "2",
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul-float", "rmul-float", "mul-str"],
+    )
+    def test_operands_that_are_not_expressions_are_refused(self, ctx, op):
+        with pytest.raises(TypeError):
+            op(jet(ctx, "q"))
+
+    def test_coefficients_are_never_rounded(self, ctx):
+        q = jet(ctx, "q")
+        for value in (0.1, 0.5, 1.0, "1/2", None):
+            with pytest.raises(TypeError, match="int or a Fraction"):
+                Expression.const(ctx, value)
+            with pytest.raises(TypeError, match="int or a Fraction"):
+                q.scale(value)
+        assert Expression.const(ctx, Fraction(1, 10)).terms == {(0, 0): Fraction(1, 10)}
+        assert q.scale(Fraction(4, 2)) == q * 2 == 2 * q
+
 
 class TestPowerLimit:
     """A power lives in a fixed-width slot of a packed key; past MAX_POWER an

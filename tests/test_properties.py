@@ -1,5 +1,5 @@
-"""Property tests of the two derivations, their per-context caches and the
-plain-text round trip.
+"""Property tests of the ring axioms, the two derivations, their per-context
+caches and the plain-text round trip.
 
 Densities are drawn as recipes (plain data) and built in a context, so one
 recipe can be built in two contexts that intern function arguments in a
@@ -120,6 +120,19 @@ def _pair(data, ctx, max_order):
 @CONTEXTS
 @SETTINGS
 @hypothesis.given(data=st.data())
+def test_ring_axioms_and_graded_commutativity(text, max_order, data):
+    # a*b = (-1)^(|a||b|) b*a for homogeneous a, b; associative; distributive
+    ctx = parse_context(text)
+    (a, b), (c, _) = _pair(data, ctx, max_order), _pair(data, ctx, max_order)
+    assert a * b == (b * a).scale(-1 if a.parity * b.parity else 1)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - b) * c == a * c - b * c
+
+
+@CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
 def test_total_derivative_leibniz_rule(text, max_order, data):
     # D(ab) = D(a) b + a D(b): D is even, so no sign
     ctx = parse_context(text)
@@ -162,11 +175,16 @@ def _decoded(d: Expression) -> list:
     return [(*key[:3], c * key[3]) for key, c in ((unpack(d.ctx, k), c) for k, c in d.terms.items())]
 
 
+def _texts(d: Expression) -> tuple:
+    return tuple(format_density(d, style) for style in ("plain", "json", "latex"))
+
+
 def _ask(e: Expression, ask, text: bool):
     """One ask of e, as its terms decoded in stored order (keys are numbers
-    local to a context; see unpack), or as plain text when `text` is set
-    (the display order, which does not depend on interning history)."""
-    show = format_density if text else _decoded
+    local to a context; see unpack), or as its plain, JSON and LaTeX text
+    when `text` is set (the display order, which does not depend on
+    interning history)."""
+    show = _texts if text else _decoded
     if ask[0] == "D":
         return show(total_derivative(e, ask[1]))
     return [(v, show(d)) for v, d in _partials(e, *ask).items()]

@@ -203,6 +203,70 @@ class TestPlainFormat:
             for style, texts in want.items():
                 assert [format_density(e, style) for e in products] == texts
 
+        # On the plane, JetVar order (total order first) and (owner, order)
+        # order differ: q[1,0] < q[0,2] as jets, but exp(q[0,2]) prints
+        # first.  In the odd context, arguments hold odd jets.  Each context
+        # interns its factors in the listed order and in reverse.
+        cases = [
+            (
+                "indep x y\nfield q even antifield p\n",
+                ["exp(q[0,2])", "exp(q[1,0])", "sin(1/2*q)", "sin(1/3*q)", "cos(exp(q*q[1,0])*q)"],
+                lambda e, j: [
+                    e[0] * e[1] * e[2] * e[3],
+                    e[4] ** 2 * j("q", (0, 1)) - e[1] * e[0] * e[4] * j("p", (1, 1)),
+                ],
+                {
+                    "plain": [
+                        "exp(q[0,2])*exp(q[1,0])*sin(1/2*q)*sin(1/3*q)",
+                        "-cos(q*exp(q*q[1,0]))*exp(q[0,2])*exp(q[1,0])*p[1,1]"
+                        " + q[0,1]*cos(q*exp(q*q[1,0]))^2",
+                    ],
+                    "latex": [
+                        "e^{q_{yy}} e^{q_{x}} \\sin(\\frac{1}{2} q) \\sin(\\frac{1}{3} q)",
+                        "-\\cos(q e^{q q_{x}}) e^{q_{yy}} e^{q_{x}} q^{\\dagger}_{xy}"
+                        " + q_{y} \\cos^{2}(q e^{q q_{x}})",
+                    ],
+                },
+            ),
+            (
+                "indep t\nfield psi odd antifield chi\n",
+                [
+                    "exp(chi[1])",
+                    "exp(chi)",
+                    "sin(psi*psi[1])",
+                    "sin(chi[2])",
+                    "cos(psi*psi[2] + chi)",
+                ],
+                lambda e, j: [
+                    e[4] * e[3] * e[2] * e[1] * e[0] * j("psi", 1) * j("psi", 0),
+                    e[1] * e[0] ** 2 - e[2] * e[3] * j("psi", 2),
+                ],
+                {
+                    "plain": [
+                        "-cos(psi*psi[2] + chi)*exp(chi)*exp(chi[1])*sin(psi*psi[1])"
+                        "*sin(chi[2])*psi*psi[1]",
+                        "exp(chi)*exp(chi[1])^2 - sin(psi*psi[1])*sin(chi[2])*psi[2]",
+                    ],
+                    "latex": [
+                        "-\\cos(psi psi_{tt} + psi^{\\dagger}) e^{psi^{\\dagger}}"
+                        " e^{psi^{\\dagger}_{t}} \\sin(psi psi_{t}) \\sin(psi^{\\dagger}_{tt})"
+                        " psi psi_{t}",
+                        "e^{psi^{\\dagger}} {e^{psi^{\\dagger}_{t}}}^{2}"
+                        " - \\sin(psi psi_{t}) \\sin(psi^{\\dagger}_{tt}) psi_{tt}",
+                    ],
+                },
+            ),
+        ]
+        for context, factors, build, want in cases:
+            for order in (factors, factors[::-1]):
+                ctx = parse_context(context)
+                built = {text: parse_density(text, ctx) for text in order}
+                products = build(
+                    [built[text] for text in factors], lambda name, k: jet(ctx, name, k)
+                )
+                for style, texts in want.items():
+                    assert [format_density(e, style) for e in products] == texts
+
     def test_argument_text_survives_new_interning(self, ctx):
         text = "sin(q*exp(q[1]))*exp(q[1])*p - 1/2*cos(q)"
         e = parse_density(text, ctx)
@@ -286,6 +350,16 @@ class TestDensityJson:
             ],
             "args": {},
         }
+
+    def test_a_monomial_met_twice_gets_lists_of_its_own(self, ctx):
+        # q is a monomial of the density and of its exp argument
+        d = density_to_json(parse_density("q*p + q + exp(q)*p", ctx))
+        top = d["monomials"][1]
+        (arg,) = d["args"]["0"]["monomials"]
+        assert top == arg == {"coeff": "1", "even": [["q", 1]], "funcs": [], "odd": []}
+        for field in ("even", "funcs", "odd"):
+            assert top[field] is not arg[field]
+        assert top["even"][0] is not arg["even"][0]
 
     def test_argument_ids_do_not_depend_on_interning_history(self):
         # parse the same density in two contexts with different warm-up

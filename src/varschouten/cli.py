@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 from .calculus import euler, is_exact
 from .functional import Functional
@@ -103,16 +104,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz", help="randomized seeded verification of the bracket laws"
     )
-    p_fuzz.add_argument("--seed", type=int, default=0, help="master seed (env VARSCHOUTEN_SEED overrides)")
-    p_fuzz.add_argument("--count", type=int, default=100, help="number of trials")
-    p_fuzz.add_argument("--max-jet-order", type=int, default=2)
-    p_fuzz.add_argument("--max-degree", type=int, default=3)
-    p_fuzz.add_argument("--max-monomials", type=int, default=4)
+    p_fuzz.add_argument("--seed", type=int, help="master seed (env VARSCHOUTEN_SEED overrides)")
+    p_fuzz.add_argument("--count", type=int, help="number of trials")
+    p_fuzz.add_argument("--max-jet-order", type=int)
+    p_fuzz.add_argument("--max-degree", type=int)
+    p_fuzz.add_argument("--max-monomials", type=int)
     p_fuzz.add_argument(
         "--no-funcs", dest="allow_funcs", action="store_false",
         help="restrict trials to differential polynomials",
     )
-    p_fuzz.add_argument("--parity", choices=("even", "odd", "any"), default="any")
+    p_fuzz.add_argument("--parity", choices=("even", "odd", "any"))
+    p_fuzz.set_defaults(**asdict(FuzzParams()))
     add_common(p_fuzz, formats=("plain", "json"))
 
     return parser

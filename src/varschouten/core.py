@@ -30,13 +30,14 @@ from typing import Iterable, NamedTuple, Sequence, Union
 Order = tuple[int, ...]
 Rat = Union[int, Fraction]
 
-#: names reserved for function factors; never valid as field or coordinate names
-RESERVED_NAMES = frozenset({"exp", "sin", "cos"})
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-#: derivative table for function factors: kind -> (kind of derivative, sign)
+#: derivative table for function factors: kind -> (kind of derivative, sign);
+#: its keys are the function kinds, in the order every other list of them takes
 FUNC_DERIVATIVE = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1)}
+
+#: names reserved for function factors; never valid as field or coordinate names
+RESERVED_NAMES = frozenset(FUNC_DERIVATIVE)
 
 #: value of each function kind at argument 0 (used by eval_zero_section)
 FUNC_AT_ZERO = {"exp": 1, "sin": 0, "cos": 1}

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import is_exact
-from .core import Expression, FieldContext, jet
+from .core import FUNC_DERIVATIVE, Expression, FieldContext, _func, jet
 from .functional import Functional
 from .schouten import _jacobi_density, _symmetry_density, schouten_bracket
-from .textio import _FUNC_BUILDERS, MAX_JET_ORDER, format_density
+from .textio import MAX_JET_ORDER, format_density
 
 _MIX = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
+_FUNC_KINDS = tuple(FUNC_DERIVATIVE)  # exp, sin, cos: the order fixes the draws
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,9 @@ def _random_order(ctx: FieldContext, rng: random.Random, max_total: int) -> tupl
 def _random_func_factor(ctx, rng, params) -> Expression:
     """One exp/sin/cos factor applied to a single even jet variable."""
     even_owners = [i for i, p in enumerate(ctx.parities) if p == 0]
-    kind = rng.choice(("exp", "sin", "cos"))
+    kind = rng.choice(_FUNC_KINDS)
     arg = jet(ctx, rng.choice(even_owners), _random_order(ctx, rng, params.max_jet_order))
-    return _FUNC_BUILDERS[kind](arg)
+    return _func(kind, arg)
 
 
 def _random_monomial(ctx, rng, params, parity: int) -> Expression | None:

@@ -22,10 +22,10 @@ def schouten_bracket(F: Functional, G: Functional) -> Functional:
     if F.ctx is not G.ctx:
         raise ValueError("functionals belong to different field contexts")
     ctx = F.ctx
-    if F.density.is_zero() or G.density.is_zero():
-        return Functional(Expression.zero(ctx))
     functional_parity(F)
     functional_parity(G)
+    if F.density.is_zero() or G.density.is_zero():
+        return Functional(Expression.zero(ctx))
     density = Expression.zero(ctx)
     for field_i, anti_i in ctx.pairs:
         density = density + euler(F.density, field_i, "right") * euler(

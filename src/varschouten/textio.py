@@ -37,15 +37,11 @@ from .core import (
     FieldContext,
     JetVar,
     RESERVED_NAMES,
+    _func,
     _structural_funcs,
-    cos,
-    exp,
     jet,
-    sin,
     unpack,
 )
-
-_FUNC_BUILDERS = {"exp": exp, "sin": sin, "cos": cos}
 
 #: deepest nesting of '(' and function calls the parser accepts; the parser
 #: recurses once per level, so this keeps it far from the interpreter's limit
@@ -224,7 +220,7 @@ class _Parser:
             arg = self._group(self.expect("(", f"'(' after {tok.text}"))
             self.largest = 1  # a power of the call leaves the argument's powers alone
             try:
-                return _FUNC_BUILDERS[tok.text](arg)
+                return _func(tok.text, arg)
             except ValueError as exc:
                 raise ParseError(str(exc), tok.line, tok.col) from None
         if tok.text in self.ctx.indep:

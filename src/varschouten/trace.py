@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import count
 from typing import Optional, Union
 
 from .calculus import _partials, euler_blocks, is_exact, iterated_derivative
@@ -115,7 +116,7 @@ class TraceReport:
     lhs_total: Expression
     rhs1_total: Expression
     rhs2_total: Expression
-    bracket_check: dict  # section -> "canonical" | "divergence" | "mismatch"
+    bracket_check: dict  # residue/plain_defect/joint -> "canonical" | "divergence" | "mismatch"
 
     @property
     def lhs_struck_roles(self) -> set:
@@ -188,7 +189,10 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     """Expand both sides of the Jacobi identity into labeled pieces and verify.
 
     Every right-side piece is paired canonically with the piece its role swap
-    predicts: a left piece it equals, or a right piece it cancels.  The
+    predicts: a left piece it equals, or a right piece it cancels.  Pieces and
+    groups pair and take their labels as they are built: the sections are
+    built in the order lhs, rhs1, rhs2, and a right-side piece's partner lies
+    in an earlier section, so it already carries its final label.  The
     verdict is "verified" when every piece pairs, otherwise "unresolved" with
     the surviving residue reported.
     """
@@ -216,7 +220,12 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     groups: dict[str, list[TraceGroup]] = {}
     pieces: dict[str, list[TraceTerm]] = {}
     group_by_coords: dict[tuple, TraceGroup] = {}
-    piece_by_key: dict[tuple, TraceTerm] = {}
+    # pieces whose partners lie in a later section, by (section, coords,
+    # blocks, cell): the lhs pieces and rhs1's second variations of F
+    awaiting: dict[tuple, TraceTerm] = {}
+    group_labels, piece_labels = count(1), count(1)
+    matches: list[tuple] = []
+    cancellation_pairs: list[tuple] = []
     primitive_totals: dict[str, Expression] = {}
 
     for sect in SECTIONS:
@@ -227,6 +236,10 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             struck, cof_role = spec.struck[0], spec.cofactor[0]
             _, f_o, _, f_i, target = spec.coords
             role = "cancel" if sect.name != "lhs" and struck == "F" else "match"
+            where = _partner_coords(sect.name, struck, spec.coords)
+            # a partner in a section already built carries its final label;
+            # groups and pieces whose partners come later take fresh labels
+            fresh = where[0] not in groups
             raw_index = composite_sign = None
             if sect.name == "rhs2":
                 raw_index = 4 * f_o + 2 * f_i + target + 1
@@ -254,6 +267,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                         if raw.is_zero():
                             continue
                         _accumulate(group_total, raw, 1)
+                        by_role = {sect.P: sig_p, cof_role: sig_c, struck: None}
                         piece = TraceTerm(
                             section=sect.name,
                             position=len(sec_pieces) + 1,
@@ -263,13 +277,34 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                             role=role,
                             sign=spec.scalar,
                             cell=cell,
-                            blocks={sect.P: sig_p, cof_role: sig_c, struck: None},
+                            blocks=by_role,
                             density=_scaled(raw, scale),
                             composite_sign=composite_sign,
                         )
                         sec_pieces.append(piece)
                         group_pieces.append(piece)
-                        piece_by_key[_piece_key(piece)] = piece
+                        unstruck = tuple(by_role[r] for r in ROLES)
+                        if fresh:
+                            piece.label = next(piece_labels)
+                            awaiting[(sect.name,) + spec.coords + (unstruck, cell)] = piece
+                            continue
+                        # a partner the prediction misses, or one that differs,
+                        # leaves the piece pending, to end unresolved
+                        twin = awaiting.get(where + (unstruck, cell[::-1]))
+                        if twin is None or twin.status != "pending":
+                            continue
+                        if role == "match" and twin.density == piece.density:
+                            piece.status = twin.status = "matched"
+                            matches.append((twin.label, sect.name, "canonical"))
+                        elif role == "cancel" and (twin.density + piece.density).is_zero():
+                            piece.status = twin.status = "cancelled"
+                            cancellation_pairs.append((twin.label, twin.label))
+                        else:
+                            continue
+                        piece.label = twin.label
+                        piece.level = twin.level = "canonical"
+                        piece.partner = (twin.section, twin.label)
+                        twin.partner = (sect.name, piece.label)
             group_raw = Expression(ctx, group_total)
             _accumulate(sec_total, group_raw, spec.scalar)
             group = TraceGroup(
@@ -281,6 +316,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                 sign=spec.scalar,
                 density=_scaled(group_raw, scale),
                 pieces=group_pieces,
+                label=next(group_labels) if fresh else group_by_coords[where].label,
                 raw_index=raw_index,
                 composite_sign=composite_sign,
             )
@@ -288,45 +324,16 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             group_by_coords[(sect.name,) + spec.coords] = group
         primitive_totals[sect.name] = Expression(ctx, sec_total)
 
-    _assign_group_labels(groups, group_by_coords)
-
-    # ---- piece labels, matching, cancellation --------------------------------
-
-    for label, piece in enumerate(pieces["lhs"], 1):
-        piece.label = label
-    counter = len(pieces["lhs"]) + 1
-    matches: list[tuple] = []
-    cancellation_pairs: list[tuple] = []
-
-    for piece in pieces["rhs1"] + pieces["rhs2"]:
-        if piece.section == "rhs1" and piece.role == "cancel":
-            piece.label = counter
-            counter += 1
-            continue
-        partner = _find_partner(piece, piece_by_key)
-        if partner is None:
-            continue
-        piece.label = partner.label
-        piece.status = partner.status = "matched" if piece.role == "match" else "cancelled"
-        piece.level = partner.level = "canonical"
-        piece.partner = (partner.section, partner.label)
-        partner.partner = (piece.section, piece.label)
-        if piece.role == "match":
-            matches.append((partner.label, piece.section, "canonical"))
-        else:
-            cancellation_pairs.append((partner.label, piece.label))
-
-    # whatever the prediction left unpaired is unresolved, with a fresh label
+    # whatever the prediction left unpaired is unresolved, with a fresh label;
+    # this walk comes last, as a later rhs2 piece may pair an rhs1 cancel piece
+    unresolved = False
     for piece in pieces["lhs"] + pieces["rhs1"] + pieces["rhs2"]:
         if piece.status == "pending":
             piece.status = "unresolved"
+            unresolved = True
             if piece.label is None:
-                piece.label = counter
-                counter += 1
+                piece.label = next(piece_labels)
 
-    unresolved = any(
-        piece.status == "unresolved" for sec in pieces.values() for piece in sec
-    )
     primitive_residue = (
         primitive_totals["lhs"] - primitive_totals["rhs1"] - primitive_totals["rhs2"]
     )
@@ -358,11 +365,6 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     return report
 
 
-def _piece_key(piece: TraceTerm) -> tuple:
-    blocks = tuple(piece.blocks.get(r) for r in ROLES)
-    return (piece.section,) + piece.coords + (blocks, piece.cell)
-
-
 def _partner_coords(section: str, struck: str, coords: tuple) -> tuple:
     """Section and coordinates of a group's partner under the role swap.
 
@@ -370,7 +372,9 @@ def _partner_coords(section: str, struck: str, coords: tuple) -> tuple:
     inner faces and conjugate-pair indices.  A left-side group pairs with the
     right-side group striking the same functional; a right-side match pairs
     with the left-side group striking it; the two right-hand brackets' second
-    variations of F pair with each other, one face flipped.
+    variations of F pair with each other, one face flipped.  A piece's
+    partner is the piece of the partner group with the same blocks of the
+    two unstruck factors and the transposed cell (tau, sigma).
     """
     i, f_o, j, f_i, target = coords
     if section == "lhs":
@@ -380,36 +384,6 @@ def _partner_coords(section: str, struck: str, coords: tuple) -> tuple:
     if section == "rhs1":
         return ("rhs2", j, 1 - f_i, i, f_o, 0)
     return ("rhs1", j, f_i, i, 1 - f_o, 0)
-
-
-def _find_partner(piece, piece_by_key):
-    """The pending piece predicted to match (or cancel) this right-side piece.
-
-    The partner sits at the swapped coordinates with the unstruck blocks
-    carried over and the cell transposed.  A piece the prediction misses, or
-    whose predicted partner differs, stays pending and ends unresolved.
-    """
-    sigma, tau = piece.cell
-    blocks = tuple(piece.blocks.get(r) for r in ROLES)
-    key = _partner_coords(piece.section, piece.struck, piece.coords) + (blocks, (tau, sigma))
-    cand = piece_by_key.get(key)
-    if cand is None or cand.status != "pending":
-        return None
-    if piece.role == "match":
-        return cand if cand.density == piece.density else None
-    return cand if (cand.density + piece.density).is_zero() else None
-
-
-def _assign_group_labels(groups, group_by_coords):
-    for g in groups["lhs"]:
-        g.label = g.index
-    cancel_label = len(groups["lhs"]) + 1
-    for g in groups["rhs1"] + groups["rhs2"]:
-        if g.role == "cancel" and g.section == "rhs1":
-            g.label = cancel_label
-            cancel_label += 1
-        else:
-            g.label = group_by_coords[_partner_coords(g.section, g.struck, g.coords)].label
 
 
 def _scaled(e: Expression, k) -> Expression:

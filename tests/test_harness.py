@@ -1,5 +1,6 @@
 """Command-line interface behavior, output formats, and exit codes."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -21,7 +22,7 @@ from varschouten import (
     parse_density,
     schouten_bracket,
 )
-from varschouten.cli import main
+from varschouten.cli import _build_parser, main
 from varschouten.core import MAX_POWER
 from varschouten.fuzz import FuzzParams
 from varschouten.textio import MAX_DIGITS, MAX_EXPONENT, MAX_JET_ORDER, MAX_NESTING
@@ -93,6 +94,21 @@ class TestBracket:
             "q[1]^2*cos(q)*exp(q[1])*p[2] + q[1]^2*q[2]*cos(q)*exp(q[1])*p[1]"
             " + q[2]^2*exp(q[1])*sin(q)*p[1]\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bracket", "--F", "0", "--G", "p + q"],
+            ["jacobi", "--F", "0", "--G", "0", "--H", "p + q"],
+        ],
+        ids=["bracket", "jacobi"],
+    )
+    def test_zero_argument_does_not_hide_a_mixed_density(self, capsys, argv):
+        # the parity check runs before the zero shortcut of the bracket
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "parity-mixed" in err
 
 
 class TestJacobi:
@@ -204,6 +220,11 @@ class TestFuzz:
         code, out, err = run(["fuzz", flag, value], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: " + flag[2:].replace("-", "_")) and err.count("\n") == 1
+
+    def test_defaults_are_the_fuzz_params_defaults(self):
+        args, defaults = _build_parser().parse_args(["fuzz"]), FuzzParams()
+        for field in dataclasses.fields(FuzzParams):
+            assert getattr(args, field.name) == getattr(defaults, field.name), field.name
 
     def test_zero_trials_verify(self, capsys):
         code, out, err = run(["fuzz", "--count", "0"], capsys)

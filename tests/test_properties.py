@@ -1,5 +1,6 @@
 """Property tests of the ring axioms, the two derivations, their per-context
-caches and the plain-text round trip.
+caches, the plain-text round trip, and the trace and bracket laws on random
+triples.
 
 Densities are drawn as recipes (plain data) and built in a context, so one
 recipe can be built in two contexts that intern function arguments in a
@@ -8,6 +9,7 @@ whose arguments may hold pairs of odd jets and, for the round trip, function
 factors of their own.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,10 @@ from varschouten import (
     Expression,
     JetVar,
     cos,
+    expand_trace,
     exp,
     format_density,
+    graded_symmetry_defect,
     jet,
     jet_orders,
     parse_context,
@@ -28,6 +32,7 @@ from varschouten import (
 )
 from varschouten.calculus import _partials
 from varschouten.core import unpack
+from varschouten.fuzz import FuzzParams, random_functional
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -236,3 +241,28 @@ def test_plain_text_round_trip(text, max_order, data):
     for parity in (0, 1):
         e = _build(ctx, data.draw(_recipe(ctx, max_order, parity, depth=2)))
         assert parse_density(format_density(e), ctx) == e
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "indep x\nfield u even antifield v\nfield a odd antifield b\n",
+        "indep x y\nfield q even antifield p\n",
+        "indep t\nfield psi odd antifield chi\n",
+    ],
+    ids=["pairs", "plane", "odd"],
+)
+@SETTINGS
+@hypothesis.given(seed=st.integers(0, 2**64 - 1))
+def test_trace_and_bracket_laws_on_random_triples(text, seed):
+    # every piece pairs with the piece its role swap predicts, off the q/p line
+    ctx = parse_context(text)
+    rng = random.Random(seed)
+    F, G, H = (random_functional(ctx, rng, FuzzParams(max_jet_order=1), r) for r in "FGH")
+    report = expand_trace(F, G, H)
+    assert report.verdict == "verified"
+    pieces = report.lhs_terms + report.rhs1_terms + report.rhs2_terms
+    assert {t.status for t in pieces} <= {"matched", "cancelled"}
+    assert report.bracket_check["plain_defect"] != "mismatch"
+    for a, b in ((F, G), (G, H), (F, H)):
+        assert graded_symmetry_defect(a, b).density.is_zero(), (a.label, b.label)

@@ -56,6 +56,14 @@ def test_zero_argument_short_circuits(ctx, golden):
     assert schouten_bracket(zero_functional(ctx), F).density.is_zero()
 
 
+def test_zero_argument_checks_the_other_parity(ctx):
+    # a zero argument does not let a parity-mixed one through
+    mixed = Functional(jet(ctx, "q") + jet(ctx, "p"), "M")
+    for args in ((zero_functional(ctx), mixed), (mixed, zero_functional(ctx))):
+        with pytest.raises(ValueError, match="'M' has a parity-mixed density"):
+            schouten_bracket(*args)
+
+
 def test_context_mismatch_rejected(ctx, golden):
     from varschouten import parse_context
 

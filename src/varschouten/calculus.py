@@ -20,6 +20,7 @@ from .core import (
     _check_powers,
     _crossings,
     eval_zero_section,
+    normalize_order,
     unpack,
 )
 
@@ -155,6 +156,7 @@ def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
     uses the ordinary power rule.  Function factors differentiate by the
     chain rule through their arguments.
     """
+    v = JetVar(e.ctx.owner(v.owner), normalize_order(e.ctx, v.order))
     return _partials(e, v.owner, side).get(v) or Expression.zero(e.ctx)
 
 
@@ -166,11 +168,8 @@ def total_derivative(e: Expression, direction: int = 0) -> Expression:
 
 
 def iterated_derivative(e: Expression, order) -> Expression:
-    """Apply D^order for a multi-index (or single-direction int) order."""
-    ctx = e.ctx
-    if isinstance(order, int):
-        order = (order,) + (0,) * (ctx.n_indep - 1)
-    for direction, k in enumerate(order):
+    """Apply D^order for an order as core.normalize_order reads it."""
+    for direction, k in enumerate(normalize_order(e.ctx, order)):
         for _ in range(k):
             e = total_derivative(e, direction)
     return e

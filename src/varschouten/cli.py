@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .calculus import euler, is_exact
 from .functional import Functional
@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("plain", "json", "latex")):
+    def add_common(p, run, formats=("plain", "json", "latex")):
+        p.set_defaults(run=run)
         p.add_argument(
             "--ctx",
             metavar="FILE",
@@ -76,30 +77,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_euler.add_argument("--density", required=True, help="density expression (or @FILE)")
     p_euler.add_argument("--wrt", required=True, metavar="NAME", help="field or antifield name")
     p_euler.add_argument("--side", choices=("left", "right"), default="left")
-    add_common(p_euler)
+    add_common(p_euler, _cmd_euler)
 
     p_bracket = sub.add_parser("bracket", help="variational Schouten bracket of two functionals")
     p_bracket.add_argument("--F", required=True, help="first density (or @FILE)")
     p_bracket.add_argument("--G", required=True, help="second density (or @FILE)")
-    add_common(p_bracket)
+    add_common(p_bracket, _cmd_bracket)
 
     p_jacobi = sub.add_parser(
         "jacobi", help="Jacobi defect of three functionals (prints ZERO or NONZERO)"
     )
     for name in ("F", "G", "H"):
         p_jacobi.add_argument(f"--{name}", required=True, help=f"density {name} (or @FILE)")
-    add_common(p_jacobi)
+    add_common(p_jacobi, _cmd_jacobi)
 
     p_trace = sub.add_parser(
         "trace", help="labeled term-by-term expansion of the Jacobi identity"
     )
     for name in ("F", "G", "H"):
         p_trace.add_argument(f"--{name}", required=True, help=f"density {name} (or @FILE)")
-    add_common(p_trace, formats=("plain", "json"))
+    add_common(p_trace, _cmd_trace, ("plain", "json"))
 
     p_norm = sub.add_parser("normalize", help="parse a density and print its canonical form")
     p_norm.add_argument("--density", required=True, help="density expression (or @FILE)")
-    add_common(p_norm)
+    add_common(p_norm, _cmd_normalize)
 
     p_fuzz = sub.add_parser(
         "fuzz", help="randomized seeded verification of the bracket laws"
@@ -115,101 +116,77 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument("--parity", choices=("even", "odd", "any"))
     p_fuzz.set_defaults(**asdict(FuzzParams()))
-    add_common(p_fuzz, formats=("plain", "json"))
+    add_common(p_fuzz, _cmd_fuzz, ("plain", "json"))
 
     return parser
 
 
-def _cmd_euler(args) -> int:
-    ctx = _context(args)
+def _cmd_euler(args, ctx) -> tuple[str, int]:
     e = parse_density(_read_arg(args.density), ctx)
-    print(format_density(euler(e, args.wrt, args.side), args.format))
-    return 0
+    return format_density(euler(e, args.wrt, args.side), args.format), 0
 
 
-def _cmd_bracket(args) -> int:
-    ctx = _context(args)
+def _cmd_bracket(args, ctx) -> tuple[str, int]:
     F, G = _functionals(args, ctx, ("F", "G"))
-    print(format_density(schouten_bracket(F, G).density, args.format))
-    return 0
+    return format_density(schouten_bracket(F, G).density, args.format), 0
 
 
-def _cmd_jacobi(args) -> int:
-    ctx = _context(args)
+def _cmd_jacobi(args, ctx) -> tuple[str, int]:
     F, G, H = _functionals(args, ctx, ("F", "G", "H"))
     defect = jacobi_defect(F, G, H).density
     verdict = "ZERO" if is_exact(defect) else "NONZERO"
     if args.format == "json":
-        print(_dumps({"defect": density_to_json(defect), "verdict": verdict}))
+        text = _dumps({"defect": density_to_json(defect), "verdict": verdict})
     else:
-        print(format_density(defect, args.format))
-        print(verdict)
-    return 0 if verdict == "ZERO" else 1
+        text = f"{format_density(defect, args.format)}\n{verdict}"
+    return text, 0 if verdict == "ZERO" else 1
 
 
-def _cmd_trace(args) -> int:
-    ctx = _context(args)
-    F, G, H = _functionals(args, ctx, ("F", "G", "H"))
-    report = expand_trace(F, G, H)
-    print(format_trace_report(report, args.format))
-    return 0 if report.verdict == "verified" else 1
+def _cmd_trace(args, ctx) -> tuple[str, int]:
+    report = expand_trace(*_functionals(args, ctx, ("F", "G", "H")))
+    return format_trace_report(report, args.format), 0 if report.verdict == "verified" else 1
 
 
-def _cmd_normalize(args) -> int:
-    ctx = _context(args)
-    print(format_density(parse_density(_read_arg(args.density), ctx), args.format))
-    return 0
+def _cmd_normalize(args, ctx) -> tuple[str, int]:
+    return format_density(parse_density(_read_arg(args.density), ctx), args.format), 0
 
 
-def _cmd_fuzz(args) -> int:
-    ctx = _context(args)
-    seed = args.seed
+def _cmd_fuzz(args, ctx) -> tuple[str, int]:
     env = os.environ.get("VARSCHOUTEN_SEED")
     if env is not None:
         try:
-            seed = int(env, 0)
+            args.seed = int(env, 0)
         except ValueError:
             raise ValueError(f"VARSCHOUTEN_SEED must be an integer, got {env!r}") from None
-    params = FuzzParams(
-        seed=seed,
-        count=args.count,
-        max_jet_order=args.max_jet_order,
-        max_degree=args.max_degree,
-        max_monomials=args.max_monomials,
-        allow_funcs=args.allow_funcs,
-        parity=args.parity,
-    )
+    params = FuzzParams(**{f.name: getattr(args, f.name) for f in fields(FuzzParams)})
     report = run_fuzz(ctx, params)
+    code = 0 if report["verified"] == report["trials"] else 1
     if args.format == "json":
-        print(_dumps(report))
-    else:
-        print(
-            f"{report['verified']}/{report['trials']} verified "
-            f"({report['degenerate']} degenerate)"
+        return _dumps(report), code
+    lines = [
+        f"{report['verified']}/{report['trials']} verified "
+        f"({report['degenerate']} degenerate)"
+    ]
+    for failure in report["failures"]:
+        lines.append(
+            f"  trial {failure['index']} (seed {failure['seed']}): "
+            f"residue {failure['residue']}"
         )
-        for failure in report["failures"]:
-            print(
-                f"  trial {failure['index']} (seed {failure['seed']}): "
-                f"residue {failure['residue']}"
-            )
-    return 0 if report["verified"] == report["trials"] else 1
-
-
-_DISPATCH = {
-    "euler": _cmd_euler,
-    "bracket": _cmd_bracket,
-    "jacobi": _cmd_jacobi,
-    "trace": _cmd_trace,
-    "normalize": _cmd_normalize,
-    "fuzz": _cmd_fuzz,
-}
+    return "\n".join(lines), code
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv, load the context, run the subcommand and print its text.
+
+    The handler bound to the subcommand (`run`) returns (text, exit code);
+    the context is read before any density.  A broken pipe on the print is
+    an OSError, so it exits 2 like any other I/O or input error.
+    """
+    args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        text, code = args.run(args, _context(args))
+        print(text)
+        return code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -292,6 +292,8 @@ def _demote(c: Rat) -> Rat:
 
 def _rational(value) -> Rat:
     """value as a coefficient: an int or a Fraction, never a rounded float (TypeError)."""
+    if type(value) is int:
+        return value
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
     return _demote(Fraction(value))
@@ -380,7 +382,10 @@ class Expression:
         return Expression(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def scale(self, factor: Rat) -> "Expression":
+        """factor * self; self itself when factor is 1 (terms are never edited)."""
         factor = _rational(factor)
+        if factor == 1:
+            return self
         if not factor:
             return Expression(self.ctx)
         return Expression(self.ctx, {k: _demote(c * factor) for k, c in self.terms.items()})

@@ -74,7 +74,7 @@ class TraceTerm:
     status: str = "pending"  # "matched" | "cancelled" | "unresolved" | "pending"
     level: Optional[str] = None  # "canonical" once paired
     partner: Optional[tuple] = None  # (section, label) of the paired piece
-    composite_sign: Optional[int] = None  # reorder-ledger sign (rhs2 only)
+    composite_sign: Optional[int] = None  # its group's ledger[raw_index], not `sign` (rhs2)
 
 
 @dataclass
@@ -91,7 +91,9 @@ class TraceGroup:
     pieces: list
     label: Optional[int] = None
     raw_index: Optional[int] = None  # {j} pattern index, rhs2 only
-    composite_sign: Optional[int] = None  # ledger sign for that {j}, rhs2 only
+    # ledger[raw_index], rhs2 only: the paper's reorder-table entry for {j},
+    # not `sign`; on the golden triple {2} and {3} have sign -1 and this +1
+    composite_sign: Optional[int] = None
 
 
 @dataclass
@@ -108,8 +110,10 @@ class TraceReport:
     rhs1_groups: list
     rhs2_groups: list
     matches: list  # (label, rhs section, level), sorted by label
-    cancellation_pairs: list  # (label, label), sorted
-    ledger: dict
+    # (rhs1 label, rhs2 label), sorted; the two are equal, as a cancel
+    # piece takes its partner's label
+    cancellation_pairs: list
+    ledger: dict  # raw_index -> the paper's reorder sign; see TraceGroup
     rhs2_relabel: dict
     verdict: str
     residue: Expression
@@ -278,7 +282,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                             sign=spec.scalar,
                             cell=cell,
                             blocks=by_role,
-                            density=_scaled(raw, scale),
+                            density=raw.scale(scale),
                             composite_sign=composite_sign,
                         )
                         sec_pieces.append(piece)
@@ -314,7 +318,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                 struck=struck,
                 role=role,
                 sign=spec.scalar,
-                density=_scaled(group_raw, scale),
+                density=group_raw.scale(scale),
                 pieces=group_pieces,
                 label=next(group_labels) if fresh else group_by_coords[where].label,
                 raw_index=raw_index,
@@ -337,7 +341,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     primitive_residue = (
         primitive_totals["lhs"] - primitive_totals["rhs1"] - primitive_totals["rhs2"]
     )
-    totals = {name: _scaled(t, content) for name, t in primitive_totals.items()}
+    totals = {name: t.scale(content) for name, t in primitive_totals.items()}
 
     report = TraceReport(
         labels=(F.label or "F", G.label or "G", H.label or "H"),
@@ -354,7 +358,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
         ledger=ledger,
         rhs2_relabel=_relabel_map(groups["rhs2"], ctx),
         verdict="unresolved" if unresolved else "verified",
-        residue=_scaled(primitive_residue, content),
+        residue=primitive_residue.scale(content),
         lhs_total=totals["lhs"],
         rhs1_total=totals["rhs1"],
         rhs2_total=totals["rhs2"],
@@ -384,11 +388,6 @@ def _partner_coords(section: str, struck: str, coords: tuple) -> tuple:
     if section == "rhs1":
         return ("rhs2", j, 1 - f_i, i, f_o, 0)
     return ("rhs1", j, f_i, i, 1 - f_o, 0)
-
-
-def _scaled(e: Expression, k) -> Expression:
-    """k * e; e itself when k is 1 (every density scaled here is built fresh)."""
-    return e if k == 1 else e.scale(k)
 
 
 def _relabel_map(rhs2_groups, ctx) -> dict:

@@ -112,6 +112,20 @@ class TestPartial:
     def test_absent_variable_gives_zero(self, ctx):
         assert partial(jet(ctx, "q"), JetVar(1, (0,)), "left").is_zero()
 
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            (JetVar(5, (0,)), "owner index 5 out of range"),
+            (JetVar(-1, (0,)), "owner index -1 out of range"),
+            (JetVar(0, (1, 2)), "length 2 does not match 1"),
+            (JetVar(0, (-1,)), "nonnegative"),
+        ],
+    )
+    def test_rejects_jets_outside_the_context(self, ctx, v, message):
+        q = jet(ctx, "q")
+        with pytest.raises(ValueError, match=message):
+            partial(q * q, v)
+
     @CONTEXTS
     def test_graded_leibniz_rule_both_sides(self, text, max_jet_order, extra):
         # dL(ab) = dL(a) b + (-1)^(|v||a|) a dL(b);  dR(ab) = a dR(b) + (-1)^(|v||b|) dR(a) b
@@ -194,6 +208,36 @@ class TestTotalDerivative:
         u = jet(ctx2, "u")
         assert total_derivative(u, 1) == jet(ctx2, "u", (0, 1))
         assert iterated_derivative(u, (1, 1)) == jet(ctx2, "u", (1, 1))
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (-1, "nonnegative"),
+            ((-1,), "nonnegative"),
+            ((1, 0), "length 2"),
+        ],
+    )
+    def test_iterated_derivative_rejects_bad_orders_on_a_line(self, ctx, order, message):
+        with pytest.raises(ValueError, match=message):
+            iterated_derivative(jet(ctx, "q"), order)
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ((1,), "length 1"),
+            ((-3, 1), "nonnegative"),
+            ((1, 1, 1), "length 3"),
+            (1, "single independent coordinate"),
+        ],
+    )
+    def test_iterated_derivative_reads_orders_as_jet_does(self, order, message):
+        ctx2 = parse_context("indep x y\nfield q even antifield p\n")
+        q = jet(ctx2, "q")
+        with pytest.raises(ValueError, match=message):
+            iterated_derivative(q, order)
+        with pytest.raises(ValueError, match=message):
+            jet(ctx2, "q", order)
+        assert iterated_derivative(q, 0) == q
 
 
 # Fixed densities whose function arguments hold pairs of odd jets, which the

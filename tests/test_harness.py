@@ -446,10 +446,10 @@ class TestErrorHandling:
         assert "usage:" in err
 
     def test_internal_error_exits_3_with_one_line(self, capsys, monkeypatch):
-        def broken(args):
+        def broken(args, ctx):
             raise RuntimeError("kernel invariant broken")
 
-        monkeypatch.setitem(cli._DISPATCH, "normalize", broken)
+        monkeypatch.setattr(cli, "_cmd_normalize", broken)
         code, out, err = run(["normalize", "--density", "q"], capsys)
         assert (code, out) == (3, "")
         assert err == "error: internal error: RuntimeError: kernel invariant broken\n"

@@ -1,14 +1,15 @@
 """Property tests of the ring axioms, the two derivations, their per-context
-caches, the plain-text round trip, and the trace and bracket laws on random
-triples.
+caches, the plain-text and JSON round trips, and the trace and bracket laws
+on random triples.
 
 Densities are drawn as recipes (plain data) and built in a context, so one
 recipe can be built in two contexts that intern function arguments in a
 different order.  Every recipe may hold odd jets and exp/sin/cos factors,
-whose arguments may hold pairs of odd jets and, for the round trip, function
+whose arguments may hold pairs of odd jets and, for the round trips, function
 factors of their own.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from varschouten import (
     total_derivative,
 )
 from varschouten.calculus import _partials
-from varschouten.core import unpack
+from varschouten.core import _func, unpack
 from varschouten.fuzz import FuzzParams, random_functional
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -241,6 +242,39 @@ def test_plain_text_round_trip(text, max_order, data):
     for parity in (0, 1):
         e = _build(ctx, data.draw(_recipe(ctx, max_order, parity, depth=2)))
         assert parse_density(format_density(e), ctx) == e
+
+
+def _from_json(ctx, data: dict) -> Expression:
+    """Decode density_to_json: jets by name, factors through _func, Fraction coefficients."""
+    memo: dict = {}
+
+    def decode(x: dict) -> Expression:
+        total = Expression.zero(ctx)
+        for m in x["monomials"]:
+            e = Expression.const(ctx, Fraction(m["coeff"]))
+            for name, power in m["even"]:
+                e = e * parse_density(name, ctx) ** power
+            for kind, aid, power in m["funcs"]:
+                if aid not in memo:
+                    memo[aid] = decode(data["args"][str(aid)])
+                e = e * _func(kind, memo[aid]) ** power
+            for name in m["odd"]:
+                e = e * parse_density(name, ctx)
+            total = total + e
+        return total
+
+    return decode(data)
+
+
+@CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_json_round_trip(text, max_order, data):
+    # Fraction coefficients and function factors nested two deep are drawn
+    ctx = parse_context(text)
+    for parity in (0, 1):
+        e = _build(ctx, data.draw(_recipe(ctx, max_order, parity, depth=2)))
+        assert _from_json(ctx, json.loads(format_density(e, "json"))) == e
 
 
 @pytest.mark.parametrize(

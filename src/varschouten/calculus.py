@@ -1,150 +1,19 @@
 """Derivatives on graded jet densities.
 
-Implements the directed (left/right) partial derivative with respect to a
-single jet variable, the total derivative along an independent coordinate,
-the directed Euler operator  sum_sigma (-D)^sigma ∘ d/d(jet of order sigma),
-and the exactness test characterizing total divergences.
+Implements, on the Leibniz engine core._derive, the directed (left/right)
+partial derivative with respect to a single jet variable, the total
+derivative along an independent coordinate, the directed Euler operator
+sum_sigma (-D)^sigma ∘ d/d(jet of order sigma), and the exactness test
+characterizing total divergences.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Union
 
-from .core import (
-    FUNC_DERIVATIVE,
-    SLOT_BITS,
-    Expression,
-    JetVar,
-    _add_term,
-    _check_powers,
-    _crossings,
-    eval_zero_section,
-    normalize_order,
-    unpack,
-)
+from .core import Expression, JetVar, _derive, _partials, eval_zero_section, normalize_order
 
 Side = str  # "left" | "right"
-
-
-def _image(ctx, jv: JetVar, op):
-    """The image of one jet under the derivation op, as (tag, key part or 0).
-
-    D along direction op (an int) raises every jet: (None, raised jet).  The
-    sweep op = (owner,) strikes each jet of the owner, (jet, 0), and kills
-    every other jet: the falsy ().
-    """
-    if isinstance(op, int):
-        order = jv.order
-        return None, ctx._one(JetVar(jv.owner, order[:op] + (order[op] + 1,) + order[op + 1 :]))
-    return (jv, 0) if jv.owner == op[0] else ()
-
-
-def _func_summands(ctx, funcs: int, op) -> list:
-    """[(tag, delta, odd', c)]: the chain-rule summands of op on one function part.
-
-    A unit f(arg)^p gives p f'(arg) f(arg)^(p-1) times each monomial k2 of the
-    derivative of arg, placed in front of the rest of the monomial: for a
-    monomial (packed, odd) with this function part the summand's key is
-    (packed + delta, odd' * odd), and its coefficient is c times the
-    monomial's.
-    """
-    out = []
-    for (kind, aid), p in unpack(ctx, (funcs, 0))[1]:
-        dkind, sgn = FUNC_DERIVATIVE[kind]
-        lift = ctx._one((dkind, aid)) - ctx._one((kind, aid))
-        for tag, terms in _derive(ctx.arg(aid), op).items():
-            for (k_packed, k_odd), c in terms.items():
-                out.append((tag, lift + k_packed, k_odd, p * sgn * c))
-    return out
-
-
-def _derive(e: Expression, op) -> dict:
-    """The derivation op of e by the graded Leibniz rule, as {tag: terms}.
-
-    op is a direction d for the total derivative D_d, whose one tag is None,
-    or (owner,) for the sweep of left partials along the owner's jets, tagged
-    by the struck jet.  The loop does not tell them apart: per monomial
-    (packed, odd), each even jet the op acts on adds its slot's delta to
-    packed, one power lowered and its image (see _image) raised.  Each odd
-    jet moves to the left end, (-1)^(odd bits below it), and its image moves
-    back into place, (-1)^(odd bits below that).  The function part's
-    summands are cached per (part, op): parts repeat across nearly every
-    monomial.  Both derivations act from the left, so the function part,
-    which is even and stands left of the odd part, is crossed without a sign.
-    """
-    ctx = e.ctx
-    func_derivs, fmask, guard = ctx._func_derivs, ctx._masks["funcs"], ctx._guard
-    acts_on = ~fmask if isinstance(op, int) else ctx._masks[op[0]]
-    outs: defaultdict = defaultdict(dict)
-    slot_images: dict = {}  # slot shift -> (tag, delta), built once per call
-    bit_images: dict = {}  # odd bit -> its _image
-    for (packed, odd), coeff in e.terms.items():
-        x = packed & acts_on
-        while x:  # x's slots, highest first, as in unpack
-            shift = (x.bit_length() - 1) & -SLOT_BITS
-            p = x >> shift
-            x ^= p << shift
-            image = slot_images.get(shift)
-            if image is None:
-                tag, up = _image(ctx, ctx._units[shift // SLOT_BITS], op)
-                image = slot_images[shift] = (tag, up - (1 << shift))
-            _add_term(outs[image[0]], (packed + image[1], odd), coeff * p)
-        funcs = packed & fmask
-        if funcs:
-            got = func_derivs.get((funcs, op))
-            if got is None:
-                got = func_derivs[(funcs, op)] = _func_summands(ctx, funcs, op)
-                guard = ctx._guard
-            for tag, delta, k_odd, c2 in got:
-                if k_odd & odd:
-                    continue
-                q = packed + delta
-                if q & guard:
-                    _check_powers(ctx, ((q, k_odd),))
-                c = coeff * c2
-                if k_odd and odd and _crossings(k_odd, odd) % 2:
-                    c = -c
-                _add_term(outs[tag], (q, k_odd | odd), c)
-        x = odd
-        while x:
-            bit = x & -x
-            x ^= bit
-            image = bit_images.get(bit)
-            if image is None:
-                image = bit_images[bit] = _image(ctx, ctx._odd_jets[bit.bit_length() - 1], op)
-            if not image:
-                continue
-            tag, up = image
-            sign = (odd & (bit - 1)).bit_count()
-            rest = odd ^ bit
-            if up:
-                if rest & up:
-                    continue
-                sign += (rest & (up - 1)).bit_count()
-                rest |= up
-            _add_term(outs[tag], (packed, rest), -coeff if sign % 2 else coeff)
-    _check_powers(ctx, (key for terms in outs.values() for key in terms), e.terms)
-    return outs
-
-
-def _partials(e: Expression, owner: int, side: Side) -> dict:
-    """Every directed partial of e along the jets of one owner, in one sweep.
-
-    Returns {v: d e / dv} over the nonzero partials, the struck JetVar v
-    ascending.  The right partial is the left one times (-1)^(|v||m'|) on
-    each output monomial m': along an odd owner, the monomials with an odd
-    number of odd jets change sign.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    outs = _derive(e, (owner,))
-    if side == "right" and e.ctx.parities[owner]:
-        for terms in outs.values():
-            for key, c in terms.items():
-                if key[1].bit_count() % 2:
-                    terms[key] = -c
-    return {v: Expression(e.ctx, outs[v]) for v in sorted(outs) if outs[v]}
 
 
 def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:

@@ -15,12 +15,14 @@ arguments share one id and powers of equal factors merge.
 A monomial is keyed by two ints (see "packed monomial keys" below): a
 product of monomials is one integer addition and a popcount sign, and only
 rendering and identity decode a key, through unpack, which returns every part
-of a monomial in its display order.
+of a monomial in its display order.  The Leibniz engine that differentiates
+keys (_derive) lives beside them, so this module is the key format's one owner.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -79,7 +81,7 @@ class FieldContext:
     antifield 2k+1, whose parity is the field parity flipped.  The
     context also owns the hash-cons table for function-factor arguments, the
     numbering of packed monomial keys (a slot per even jet or function unit,
-    a bit per odd jet), and the derivative cache of the calculus: the
+    a bit per odd jet), and the derivative cache of the Leibniz engine: the
     chain-rule summands of every derivation (a total derivative, or a sweep
     of directed partials) on the function parts of monomial keys.
     """
@@ -124,7 +126,7 @@ class FieldContext:
         self._ones: dict = {}
         self._masks = dict.fromkeys([*range(len(self.names)), "funcs"], 0)
         self._guard = 0
-        # The derivative cache of calculus._derive: (funcs, op) -> [(tag,
+        # The derivative cache of _derive: (funcs, op) -> [(tag,
         # delta, odd', coefficient)], the chain-rule summands of op (a
         # direction d for D_d, or (owner,) for a sweep of left partials) on a
         # function part.  Even and odd parts are differentiated in place.
@@ -148,12 +150,14 @@ class FieldContext:
         return (0,) * len(self.indep)
 
     def owner(self, ref: Union[int, str]) -> int:
-        """Resolve a field/antifield reference (name or index) to its index."""
+        """Resolve a field/antifield reference (name or int index) to its index."""
         if isinstance(ref, str):
             try:
                 return self._by_name[ref]
             except KeyError:
                 raise ValueError(f"unknown field or antifield {ref!r}") from None
+        if type(ref) is not int:  # a bool or a float is no index
+            raise ValueError(f"an owner is a name or an int index, not {ref!r}")
         if not 0 <= ref < len(self.names):
             raise ValueError(f"owner index {ref} out of range")
         return ref
@@ -223,6 +227,8 @@ def _check_name(name: str) -> None:
 # JetVar order once D raises jet orders, so unpack returns the sign that
 # turns a stored coefficient into that of the canonical product, and orders
 # function units by argument structure, not by history-dependent arg ids.
+# _derive, the Leibniz engine, edits keys in one pass for D_d and for the
+# sweep of directed partials; calculus builds the Euler operators on it.
 # ---------------------------------------------------------------------------
 
 _EMPTY_KEY = (0, 0)
@@ -276,6 +282,126 @@ def unpack(ctx: FieldContext, key: tuple) -> tuple:
         odd ^= low
     swaps = sum(v > w for i, v in enumerate(jets) for w in jets[i + 1 :])
     return tuple(sorted(even)), tuple(funcs), tuple(sorted(jets)), -1 if swaps % 2 else 1
+
+
+def _image(ctx, jv: JetVar, op):
+    """The image of one jet under the derivation op, as (tag, key part or 0).
+
+    D along direction op (an int) raises every jet: (None, raised jet).  The
+    sweep op = (owner,) strikes each jet of the owner, (jet, 0), and kills
+    every other jet: the falsy ().
+    """
+    if isinstance(op, int):
+        order = jv.order
+        return None, ctx._one(JetVar(jv.owner, order[:op] + (order[op] + 1,) + order[op + 1 :]))
+    return (jv, 0) if jv.owner == op[0] else ()
+
+
+def _func_summands(ctx, funcs: int, op) -> list:
+    """[(tag, delta, odd', c)]: the chain-rule summands of op on one function part.
+
+    A unit f(arg)^p gives p f'(arg) f(arg)^(p-1) times each monomial k2 of the
+    derivative of arg, placed in front of the rest of the monomial: for a
+    monomial (packed, odd) with this function part the summand's key is
+    (packed + delta, odd' * odd), and its coefficient is c times the
+    monomial's.
+    """
+    out = []
+    for (kind, aid), p in unpack(ctx, (funcs, 0))[1]:
+        dkind, sgn = FUNC_DERIVATIVE[kind]
+        lift = ctx._one((dkind, aid)) - ctx._one((kind, aid))
+        for tag, terms in _derive(ctx.arg(aid), op).items():
+            for (k_packed, k_odd), c in terms.items():
+                out.append((tag, lift + k_packed, k_odd, p * sgn * c))
+    return out
+
+
+def _derive(e: Expression, op) -> dict:
+    """The derivation op of e by the graded Leibniz rule, as {tag: terms}.
+
+    op is a direction d for the total derivative D_d, whose one tag is None,
+    or (owner,) for the sweep of left partials along the owner's jets, tagged
+    by the struck jet.  The loop does not tell them apart: per monomial
+    (packed, odd), each even jet the op acts on adds its slot's delta to
+    packed, one power lowered and its image (see _image) raised.  Each odd
+    jet moves to the left end, (-1)^(odd bits below it), and its image moves
+    back into place, (-1)^(odd bits below that).  The function part's
+    summands are cached per (part, op): parts repeat across nearly every
+    monomial.  Both derivations act from the left, so the function part,
+    which is even and stands left of the odd part, is crossed without a sign.
+    """
+    ctx = e.ctx
+    func_derivs, fmask, guard = ctx._func_derivs, ctx._masks["funcs"], ctx._guard
+    acts_on = ~fmask if isinstance(op, int) else ctx._masks[op[0]]
+    outs: defaultdict = defaultdict(dict)
+    slot_images: dict = {}  # slot shift -> (tag, delta), built once per call
+    bit_images: dict = {}  # odd bit -> its _image
+    for (packed, odd), coeff in e.terms.items():
+        x = packed & acts_on
+        while x:  # x's slots, highest first, as in unpack
+            shift = (x.bit_length() - 1) & -SLOT_BITS
+            p = x >> shift
+            x ^= p << shift
+            image = slot_images.get(shift)
+            if image is None:
+                tag, up = _image(ctx, ctx._units[shift // SLOT_BITS], op)
+                image = slot_images[shift] = (tag, up - (1 << shift))
+            _add_term(outs[image[0]], (packed + image[1], odd), coeff * p)
+        funcs = packed & fmask
+        if funcs:
+            got = func_derivs.get((funcs, op))
+            if got is None:
+                got = func_derivs[(funcs, op)] = _func_summands(ctx, funcs, op)
+                guard = ctx._guard
+            for tag, delta, k_odd, c2 in got:
+                if k_odd & odd:
+                    continue
+                q = packed + delta
+                if q & guard:
+                    _check_powers(ctx, ((q, k_odd),))
+                c = coeff * c2
+                if k_odd and odd and _crossings(k_odd, odd) % 2:
+                    c = -c
+                _add_term(outs[tag], (q, k_odd | odd), c)
+        x = odd
+        while x:
+            bit = x & -x
+            x ^= bit
+            image = bit_images.get(bit)
+            if image is None:
+                image = bit_images[bit] = _image(ctx, ctx._odd_jets[bit.bit_length() - 1], op)
+            if not image:
+                continue
+            tag, up = image
+            sign = (odd & (bit - 1)).bit_count()
+            rest = odd ^ bit
+            if up:
+                if rest & up:
+                    continue
+                sign += (rest & (up - 1)).bit_count()
+                rest |= up
+            _add_term(outs[tag], (packed, rest), -coeff if sign % 2 else coeff)
+    _check_powers(ctx, (key for terms in outs.values() for key in terms), e.terms)
+    return outs
+
+
+def _partials(e: Expression, owner: int, side: str) -> dict:
+    """Every directed partial of e along the jets of one owner, in one sweep.
+
+    Returns {v: d e / dv} over the nonzero partials, the struck JetVar v
+    ascending.  The right partial is the left one times (-1)^(|v||m'|) on
+    each output monomial m': along an odd owner, the monomials with an odd
+    number of odd jets change sign.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    outs = _derive(e, (owner,))
+    if side == "right" and e.ctx.parities[owner]:
+        for terms in outs.values():
+            for key, c in terms.items():
+                if key[1].bit_count() % 2:
+                    terms[key] = -c
+    return {v: Expression(e.ctx, outs[v]) for v in sorted(outs) if outs[v]}
 
 
 def _structural_funcs(ctx: FieldContext, funcs: tuple) -> tuple:
@@ -471,8 +597,8 @@ class Expression:
 
 
 def normalize_order(ctx: FieldContext, order) -> Order:
-    """Coerce an int (single direction or 0) or sequence to a multi-index."""
-    if isinstance(order, int):
+    """Coerce an int (one direction or 0) or a sequence of ints to a multi-index."""
+    if type(order) is int:
         if order < 0:
             raise ValueError("jet order must be nonnegative")
         if ctx.n_indep == 1:
@@ -480,12 +606,14 @@ def normalize_order(ctx: FieldContext, order) -> Order:
         if order == 0:
             return ctx.zero_order
         raise ValueError("an integer jet order needs a single independent coordinate")
-    order = tuple(order)
+    order = tuple(order) if hasattr(order, "__iter__") else (order,)
+    if any(type(k) is not int for k in order):  # bools and floats included
+        raise ValueError(f"jet order entries must be ints, got {order!r}")
     if len(order) != ctx.n_indep:
         raise ValueError(
             f"multi-index length {len(order)} does not match {ctx.n_indep} coordinates"
         )
-    if any(k < 0 for k in order):
+    if min(order) < 0:
         raise ValueError("jet order must be nonnegative")
     return order
 
@@ -560,3 +688,4 @@ def jet_orders(e: Expression, ref: Union[int, str]) -> set:
     """All multi-indices with which the given owner occurs in e (args included)."""
     owner = e.ctx.owner(ref)
     return {v.order for v in _jets(e) if v.owner == owner}
+

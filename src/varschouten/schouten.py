@@ -3,7 +3,8 @@
 The bracket pairs right Euler derivatives of the first argument with left
 Euler derivatives of the second over every field/antifield pair, with
 coupling +1 on the (field, antifield) face and -1 on the (antifield, field)
-face.  Its grading is shifted: |[[F,G]]| = |F| + |G| + 1 mod 2.
+face; _faces is the one statement of these couplings.  Its grading is
+shifted: |[[F,G]]| = |F| + |G| + 1 mod 2.
 """
 
 from __future__ import annotations
@@ -17,6 +18,17 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
+def _faces(ctx):
+    """The bracket's couplings, per conjugate pair i and face f in order.
+
+    Yields (i, f, (owner, side) struck in the first argument, (owner, side)
+    struck in the second, coupling sign).
+    """
+    for i, (field, anti) in enumerate(ctx.pairs):
+        yield i, 0, (field, "right"), (anti, "left"), 1
+        yield i, 1, (anti, "right"), (field, "left"), -1
+
+
 def schouten_bracket(F: Functional, G: Functional) -> Functional:
     """The variational Schouten bracket [[F, G]] of homogeneous functionals."""
     if F.ctx is not G.ctx:
@@ -27,13 +39,9 @@ def schouten_bracket(F: Functional, G: Functional) -> Functional:
     if F.density.is_zero() or G.density.is_zero():
         return Functional(Expression.zero(ctx))
     density = Expression.zero(ctx)
-    for field_i, anti_i in ctx.pairs:
-        density = density + euler(F.density, field_i, "right") * euler(
-            G.density, anti_i, "left"
-        )
-        density = density - euler(F.density, anti_i, "right") * euler(
-            G.density, field_i, "left"
-        )
+    for _, _, first, second, sign in _faces(ctx):
+        term = euler(F.density, *first) * euler(G.density, *second)
+        density = density + term if sign > 0 else density - term
     return Functional(density)
 
 

@@ -21,10 +21,10 @@ from functools import cache
 from itertools import count
 from typing import Optional, Union
 
-from .calculus import _partials, euler_blocks, is_exact, iterated_derivative
-from .core import Expression, _accumulate
+from .calculus import euler_blocks, is_exact, iterated_derivative
+from .core import Expression, _accumulate, _partials
 from .functional import Functional, functional_parity
-from .schouten import _sign, eq1_sign, jacobi_defect, reorder_sign_ledger
+from .schouten import _faces, _sign, eq1_sign, jacobi_defect, reorder_sign_ledger
 
 ROLES = ("F", "G", "H")
 
@@ -158,35 +158,26 @@ def _group_specs(sect: _Section, ctx, parities: dict):
     """The section's group specs, in enumeration order.
 
     The outer bracket couples the outer factor to the inner bracket through
-    conjugate pair i (face f_o picks which of the two is struck on which side);
-    the inner bracket couples X to Y through pair j.  The target is the inner
+    conjugate pair i and face f_o, and the inner bracket X to Y through pair j
+    and face f_i, each as schouten._faces states it.  The target is the inner
     factor the outer coupling's w2 strike lands on; when that strike passes
     the cofactor it picks up the graded transport sign.
     """
-    p_side, s2 = ("right", "left") if sect.composite_second else ("left", "right")
     eq = eq1_sign(parities["F"], parities["G"]) if sect.name == "rhs2" else 1
-    for i, pair in enumerate(ctx.pairs):
-        for f_o in (0, 1):
-            a, b = pair if f_o == 0 else pair[::-1]
-            p_owner, w2 = (a, b) if sect.composite_second else (b, a)
-            for j, pair_j in enumerate(ctx.pairs):
-                for f_i in (0, 1):
-                    x, y = pair_j if f_i == 0 else pair_j[::-1]
-                    inner = ((sect.X, x, "right"), (sect.Y, y, "left"))
-                    for target in (0, 1):
-                        (role, w1, s1), cof = inner[target], inner[1 - target]
-                        scalar = eq * _sign(f_o + f_i)
-                        if (target == 1) == sect.composite_second:
-                            scalar *= _sign(
-                                ctx.parities[w2] * (parities[cof[0]] + ctx.parities[cof[1]])
-                            )
-                        yield _GroupSpec(
-                            (i, f_o, j, f_i, target),
-                            (role, w1, s1, w2, s2),
-                            (sect.P, p_owner, p_side),
-                            cof,
-                            scalar,
-                        )
+    for i, f_o, first, second, sign_o in _faces(ctx):
+        # [[P, inner]] strikes P as the first argument, [[inner, P]] as the second
+        outer = (sect.P, *(first if sect.composite_second else second))
+        w2, s2 = second if sect.composite_second else first
+        for j, f_i, x, y, sign_i in _faces(ctx):
+            inner = ((sect.X, *x), (sect.Y, *y))
+            for target in (0, 1):
+                (role, w1, s1), cof = inner[target], inner[1 - target]
+                scalar = eq * sign_o * sign_i
+                if (target == 1) == sect.composite_second:
+                    scalar *= _sign(ctx.parities[w2] * (parities[cof[0]] + ctx.parities[cof[1]]))
+                yield _GroupSpec(
+                    (i, f_o, j, f_i, target), (role, w1, s1, w2, s2), outer, cof, scalar
+                )
 
 
 def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:

@@ -10,15 +10,21 @@ import pytest
 from varschouten import (
     Expression,
     FieldContext,
+    Functional,
     JetVar,
     cos,
+    euler,
     eval_zero_section,
     exp,
     format_density,
+    functional_eq,
+    iterated_derivative,
     jet,
     jet_orders,
     parse_context,
     parse_density,
+    reorder_sign_ledger,
+    scale_add,
     sin,
     total_derivative,
 )
@@ -125,6 +131,31 @@ class TestArithmetic:
     def test_operands_that_are_not_expressions_are_refused(self, ctx, op):
         with pytest.raises(TypeError):
             op(jet(ctx, "q"))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda q, alien: q + alien, "different field contexts"),
+            (lambda q, alien: q * alien, "different field contexts"),
+            (lambda q, alien: euler(q, "q", "up"), "side must be 'left' or 'right'"),
+            (lambda q, alien: q**-1, "nonnegative integer"),
+            (lambda q, alien: reorder_sign_ledger(2, 0), "parities must be 0 or 1"),
+            (
+                lambda q, alien: functional_eq(Functional(q), Functional(alien)),
+                "different field contexts",
+            ),
+            (
+                lambda q, alien: scale_add(1, Functional(q), 1, Functional(alien)),
+                "different field contexts",
+            ),
+        ],
+        ids=["add-alien", "mul-alien", "euler-side", "pow-negative", "ledger-parity",
+             "functional-eq-alien", "scale-add-alien"],
+    )
+    def test_invalid_arguments_raise_value_error(self, ctx, call, message):
+        alien = jet(parse_context("indep x\nfield q even antifield p\n"), "q")
+        with pytest.raises(ValueError, match=message):
+            call(jet(ctx, "q"), alien)
 
     def test_coefficients_are_never_rounded(self, ctx):
         q = jet(ctx, "q")
@@ -249,6 +280,30 @@ class TestJetHelpers:
         assert normalize_order(ctx, (2,)) == (2,)
         with pytest.raises(ValueError, match="multi-index length"):
             normalize_order(ctx, (1, 2))
+
+    @pytest.mark.parametrize("order", [True, (True,), (1.5,), (1.0,), "1", 2.0], ids=repr)
+    def test_orders_are_ints(self, ctx, order):
+        q = jet(ctx, "q")
+        with pytest.raises(ValueError, match="jet order entries must be ints"):
+            normalize_order(ctx, order)
+        with pytest.raises(ValueError, match="jet order entries must be ints"):
+            jet(ctx, "q", order)
+        with pytest.raises(ValueError, match="jet order entries must be ints"):
+            iterated_derivative(q, order)
+
+    @pytest.mark.parametrize("ref", [True, False, 1.0, None], ids=repr)
+    def test_owners_are_names_or_ints(self, ctx, ref):
+        with pytest.raises(ValueError, match="an owner is a name or an int index"):
+            jet(ctx, ref)
+
+    @pytest.mark.parametrize("order", [True, (1.0,)], ids=repr)
+    def test_a_rejected_order_takes_no_slot(self, ctx, order):
+        with pytest.raises(ValueError):
+            jet(ctx, "q", order)
+        e = parse_density("q[1]*p", ctx)
+        assert format_density(e) == "q[1]*p"
+        assert format_density(e, "latex") == "q_{x} q^{\\dagger}"
+        assert parse_density(format_density(e), ctx) == e
 
     def test_jetvar_ordering_key_is_graded(self, ctx):
         # owner first, then total order, then lexicographic components

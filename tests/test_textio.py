@@ -81,6 +81,12 @@ PARSE_ERRORS = [
     ("3/0", 1, 3, "denominator must be positive"),
     ("q]", 1, 2, "unexpected trailing input ']'"),
     ("q[2] q", 1, 6, "unexpected trailing input 'q'"),
+    ("exp q", 1, 5, "expected '(' after exp, found 'q'"),
+    ("q[1", 1, 4, "expected ']' or ',', found end of input"),
+    ("(q", 1, 3, "expected ')', found end of input"),
+    ("q^x", 1, 3, "expected a positive integer exponent, found 'x'"),
+    ("1/x", 1, 3, "expected a positive integer denominator, found 'x'"),
+    ("q[", 1, 3, "expected a jet order, found end of input"),
 ]
 
 
@@ -113,6 +119,12 @@ class TestContextParsing:
                 "expected: field NAME even|odd antifield NAME",
             ),
             ("indep x\nindep y\nfield q even antifield p\n", "duplicate indep line"),
+            ("indep x\nfield q-1 even antifield p\n", "invalid name 'q-1'"),
+            ("indep x\nfield q even antifield q\n", "duplicate name 'q'"),
+            ("indep x\nfield exp even antifield p\n", "name 'exp' is reserved"),
+            ("indep x x\nfield q even antifield p\n", "names must be distinct"),
+            ("indep x\n", "at least one field/antifield pair is required"),
+            ("indep\n", "indep needs at least one coordinate name"),
         ],
     )
     def test_malformed_context_rejected(self, text, msg):

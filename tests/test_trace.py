@@ -186,6 +186,28 @@ def test_a_spoiled_second_variation_leaves_pieces_unresolved(monkeypatch, golden
     assert "unresolved" in capsys.readouterr().out
 
 
+def test_a_missed_partner_leaves_pieces_unresolved(monkeypatch, golden, capsys):
+    # flip the outer face of every right-side prediction: no right piece finds
+    # its partner, so every piece ends unresolved, and nothing raises
+    original = trace._partner_coords
+
+    def missed(section, struck, coords):
+        where = original(section, struck, coords)
+        if section == "lhs":
+            return where
+        return where[:2] + (1 - where[2],) + where[3:]
+
+    monkeypatch.setattr(trace, "_partner_coords", missed)
+    rep = expand_trace(*golden)
+    pieces = rep.lhs_terms + rep.rhs1_terms + rep.rhs2_terms
+    assert pieces and {t.status for t in pieces} == {"unresolved"}
+    assert rep.verdict == "unresolved"
+    assert rep.matches == [] and rep.cancellation_pairs == []
+    argv = ["trace", "--F", "p * q * q[2]", "--G", "p[1] * exp(q[1])", "--H", "p[2] * cos(q)"]
+    assert cli.main(argv) == 1
+    assert "unresolved" in capsys.readouterr().out
+
+
 _CONTEXTS = {
     "default": "indep x\nfield q even antifield p\n",
     "pairs": "indep x\nfield u even antifield v\nfield a odd antifield b\n",

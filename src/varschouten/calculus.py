@@ -31,6 +31,8 @@ def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
 
 def total_derivative(e: Expression, direction: int = 0) -> Expression:
     """The even derivation D_direction, which raises jet orders (see _derive)."""
+    if type(direction) is not int:  # a bool or a float is no direction
+        raise ValueError(f"a direction is an int index, not {direction!r}")
     if not 0 <= direction < e.ctx.n_indep:
         raise ValueError(f"direction {direction} out of range")
     return Expression(e.ctx, _derive(e, direction).get(None, {}))

@@ -39,14 +39,17 @@ class FuzzParams:
     parity: str = "any"  # "even" | "odd" | "any"
 
     def __post_init__(self) -> None:
+        if type(self.allow_funcs) is not bool:
+            raise ValueError(f"allow_funcs must be a bool, got {self.allow_funcs!r}")
         for name, least in (
-            ("count", 0),
-            ("max_jet_order", 0),
-            ("max_degree", 1),
-            ("max_monomials", 1),
+            ("seed", None), ("count", 0), ("max_jet_order", 0),
+            ("max_degree", 1), ("max_monomials", 1),
         ):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:  # so never a bool, nor a float
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.max_jet_order > MAX_JET_ORDER:
             raise ValueError(
                 f"max_jet_order must be at most {MAX_JET_ORDER}, got {self.max_jet_order}"

@@ -87,11 +87,13 @@ def graded_symmetry_defect(F: Functional, G: Functional) -> Functional:
 
 
 def reorder_sign_ledger(pF: int, pG: int) -> dict[int, int]:
-    """Composite signs {1}..{8} for reordering the second right-hand bracket.
+    """The paper's composite signs {1}..{8} for reordering the second right-hand bracket.
 
     Each entry is the product of the face sign, the graded transposition sign
     for moving the front factor across the struck part, and the global
-    prefactor of that bracket; all exponents are reduced mod 2.
+    prefactor of that bracket; all exponents are reduced mod 2.  The trace
+    applies trace._group_specs' scalars instead, and on the default context
+    those differ from this table in 2 of the 8 entries.
     """
     for p in (pF, pG):
         if p not in (0, 1):

@@ -511,7 +511,6 @@ def _term_row(t, memo: dict) -> dict:
         "status": t.status,
         "level": t.level,
         "partner": list(t.partner) if t.partner else None,
-        "composite_sign": t.composite_sign,
     }
 
 
@@ -523,8 +522,6 @@ def _group_row(g, memo: dict) -> dict:
         "struck": g.struck,
         "role": g.role,
         "sign": g.sign,
-        "raw_index": g.raw_index,
-        "composite_sign": g.composite_sign,
         "density": _plain(g.density, memo),
         "pieces": [t.label for t in g.pieces],
     }
@@ -548,8 +545,6 @@ def trace_report_to_json(report) -> dict:
         "eq_sign": report.eq_sign,
         "verdict": report.verdict,
         "residue": _plain(report.residue, memo),
-        "ledger": {str(k): v for k, v in report.ledger.items()},
-        "rhs2_relabel": {str(k): v for k, v in report.rhs2_relabel.items()},
         "matches": [list(m) for m in report.matches],
         "cancellation_pairs": [list(p) for p in report.cancellation_pairs],
         "bracket_check": dict(report.bracket_check),
@@ -587,17 +582,6 @@ def format_trace_report(report, style: str = "plain") -> str:
         for t in terms:
             partner = f" -> {t.partner[0]}:{t.partner[1]}" if t.partner else ""
             lines.append(f"  <{t.label}> {t.status}{partner}  {_plain(t.density, memo)}")
-    lines.append(
-        "reorder signs: "
-        + "  ".join(f"{{{k}}}:{v:+d}" for k, v in sorted(report.ledger.items()))
-    )
-    if report.rhs2_relabel:
-        lines.append(
-            "rhs2 group relabel: "
-            + "  ".join(
-                f"{{{k}}}-><{v}>" for k, v in sorted(report.rhs2_relabel.items())
-            )
-        )
     if report.matches:
         lines.append(
             "matches: "

@@ -24,7 +24,7 @@ from typing import Optional, Union
 from .calculus import euler_blocks, is_exact, iterated_derivative
 from .core import Expression, _accumulate, _partials
 from .functional import Functional, functional_parity
-from .schouten import _faces, _sign, eq1_sign, jacobi_defect, reorder_sign_ledger
+from .schouten import _faces, _sign, eq1_sign, jacobi_defect
 
 ROLES = ("F", "G", "H")
 
@@ -74,7 +74,6 @@ class TraceTerm:
     status: str = "pending"  # "matched" | "cancelled" | "unresolved" | "pending"
     level: Optional[str] = None  # "canonical" once paired
     partner: Optional[tuple] = None  # (section, label) of the paired piece
-    composite_sign: Optional[int] = None  # its group's ledger[raw_index], not `sign` (rhs2)
 
 
 @dataclass
@@ -90,10 +89,6 @@ class TraceGroup:
     density: Expression
     pieces: list
     label: Optional[int] = None
-    raw_index: Optional[int] = None  # {j} pattern index, rhs2 only
-    # ledger[raw_index], rhs2 only: the paper's reorder-table entry for {j},
-    # not `sign`; on the golden triple {2} and {3} have sign -1 and this +1
-    composite_sign: Optional[int] = None
 
 
 @dataclass
@@ -113,8 +108,6 @@ class TraceReport:
     # (rhs1 label, rhs2 label), sorted; the two are equal, as a cancel
     # piece takes its partner's label
     cancellation_pairs: list
-    ledger: dict  # raw_index -> the paper's reorder sign; see TraceGroup
-    rhs2_relabel: dict
     verdict: str
     residue: Expression
     lhs_total: Expression
@@ -195,7 +188,6 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
         raise ValueError("functionals belong to different field contexts")
     ctx = F.ctx
     parities = {r: functional_parity(X) for r, X in zip(ROLES, (F, G, H))}
-    ledger = reorder_sign_ledger(parities["F"], parities["G"])
     # Every piece is trilinear in (F, G, H), one factor from each role, so the
     # expansion runs on the primitive parts (int coefficients) and each
     # reported density is scaled once, by its sign times the three contents.
@@ -229,16 +221,12 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
         sec_total: dict = {}
         for index, spec in enumerate(_group_specs(sect, ctx, parities), 1):
             struck, cof_role = spec.struck[0], spec.cofactor[0]
-            _, f_o, _, f_i, target = spec.coords
+            target = spec.coords[4]
             role = "cancel" if sect.name != "lhs" and struck == "F" else "match"
             where = _partner_coords(sect.name, struck, spec.coords)
             # a partner in a section already built carries its final label;
             # groups and pieces whose partners come later take fresh labels
             fresh = where[0] not in groups
-            raw_index = composite_sign = None
-            if sect.name == "rhs2":
-                raw_index = 4 * f_o + 2 * f_i + target + 1
-                composite_sign = ledger[raw_index]
             scale = spec.scalar * content
             group_pieces = []
             group_total: dict = {}
@@ -274,7 +262,6 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                             cell=cell,
                             blocks=by_role,
                             density=raw.scale(scale),
-                            composite_sign=composite_sign,
                         )
                         sec_pieces.append(piece)
                         group_pieces.append(piece)
@@ -312,8 +299,6 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                 density=group_raw.scale(scale),
                 pieces=group_pieces,
                 label=next(group_labels) if fresh else group_by_coords[where].label,
-                raw_index=raw_index,
-                composite_sign=composite_sign,
             )
             sec_groups.append(group)
             group_by_coords[(sect.name,) + spec.coords] = group
@@ -346,8 +331,6 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
         rhs2_groups=groups["rhs2"],
         matches=sorted(matches),
         cancellation_pairs=sorted(cancellation_pairs),
-        ledger=ledger,
-        rhs2_relabel=_relabel_map(groups["rhs2"], ctx),
         verdict="unresolved" if unresolved else "verified",
         residue=primitive_residue.scale(content),
         lhs_total=totals["lhs"],
@@ -379,12 +362,6 @@ def _partner_coords(section: str, struck: str, coords: tuple) -> tuple:
     if section == "rhs1":
         return ("rhs2", j, 1 - f_i, i, f_o, 0)
     return ("rhs1", j, f_i, i, 1 - f_o, 0)
-
-
-def _relabel_map(rhs2_groups, ctx) -> dict:
-    if len(ctx.pairs) != 1:
-        return {}
-    return {g.raw_index: g.label for g in rhs2_groups}
 
 
 def _level(e: Expression) -> str:

@@ -198,6 +198,20 @@ class TestTotalDerivative:
         with pytest.raises(ValueError, match="direction"):
             total_derivative(jet(ctx, "q"), 1)
 
+    @pytest.mark.parametrize(
+        "text, direction",
+        [
+            ("indep x\nfield q even antifield p\n", 0.0),
+            ("indep x\nfield q even antifield p\n", False),
+            ("indep x y\nfield q even antifield p\n", True),
+            ("indep x y\nfield q even antifield p\n", 1.0),
+        ],
+        ids=["float", "false", "true-on-plane", "float-on-plane"],
+    )
+    def test_direction_must_be_an_int(self, text, direction):
+        with pytest.raises(ValueError, match="direction"):
+            total_derivative(jet(parse_context(text), "q"), direction)
+
     def test_iterated_derivative_multi_index(self, ctx):
         e = jet(ctx, "q") ** 2
         assert iterated_derivative(e, (2,)) == total_derivative(total_derivative(e))

@@ -156,7 +156,7 @@ class TestTrace:
         lines = out.splitlines()
         assert lines[0] == "shifted-graded Jacobi trace"
         assert lines[3] == "verdict: verified"
-        assert len(lines) == 41
+        assert len(lines) == 39
 
     def test_json_report(self, capsys):
         code, out, _ = run(
@@ -233,6 +233,24 @@ class TestFuzz:
     def test_unknown_parity_rejected(self):
         with pytest.raises(ValueError, match="parity"):
             FuzzParams(parity="mixed")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("count", True),
+            ("count", 2.5),
+            ("seed", 1.5),
+            ("seed", False),
+            ("max_jet_order", 1.0),
+            ("max_degree", True),
+            ("max_monomials", "4"),
+            ("allow_funcs", 1),
+            ("allow_funcs", None),
+        ],
+    )
+    def test_mistyped_knobs_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FuzzParams(**{field: value})
 
     def test_seed_env_override(self, capsys, monkeypatch):
         explicit = run(

@@ -404,7 +404,7 @@ class TestTraceRendering:
     def test_section_headings_and_piece_counts(self):
         assert self.lines[14] == "rhs1 (10 pieces):"
         assert self.lines[25] == "rhs2 (10 pieces):"
-        assert len(self.lines) == 41
+        assert len(self.lines) == 39
 
     def test_piece_lines_carry_label_status_partner(self):
         assert self.lines[6].startswith("  <1> matched -> rhs1:1  ")
@@ -414,10 +414,6 @@ class TestTraceRendering:
 
     def test_footer_lines(self):
         assert self.lines[36:] == [
-            "reorder signs: {1}:+1  {2}:+1  {3}:+1  {4}:-1  {5}:-1  {6}:-1  "
-            "{7}:+1  {8}:+1",
-            "rhs2 group relabel: {1}-><10>  {2}-><2>  {3}-><12>  {4}-><6>  "
-            "{5}-><9>  {6}-><4>  {7}-><11>  {8}-><8>",
             "matches: <1>=rhs1(canonical)  <2>=rhs1(canonical)  "
             "<3>=rhs2(canonical)  <4>=rhs2(canonical)  <5>=rhs1(canonical)  "
             "<6>=rhs2(canonical)  <7>=rhs1(canonical)  <8>=rhs2(canonical)",
@@ -444,14 +440,38 @@ class TestTraceJson:
             "cancellation_pairs",
             "eq_sign",
             "labels",
-            "ledger",
             "matches",
             "parities",
             "residue",
-            "rhs2_relabel",
             "sections",
             "totals",
             "verdict",
+        ]
+        rhs2 = self.js["sections"]["rhs2"]
+        assert sorted(rhs2["terms"][0]) == [
+            "blocks",
+            "cell",
+            "coords",
+            "density",
+            "group",
+            "label",
+            "level",
+            "partner",
+            "position",
+            "role",
+            "sign",
+            "status",
+            "struck",
+        ]
+        assert sorted(rhs2["groups"][0]) == [
+            "coords",
+            "density",
+            "index",
+            "label",
+            "pieces",
+            "role",
+            "sign",
+            "struck",
         ]
 
     def test_summary_values(self):
@@ -461,12 +481,6 @@ class TestTraceJson:
         assert js["eq_sign"] == 1
         assert js["verdict"] == "verified"
         assert js["residue"] == "0"
-        assert js["ledger"] == {
-            "1": 1, "2": 1, "3": 1, "4": -1, "5": -1, "6": -1, "7": 1, "8": 1,
-        }
-        assert js["rhs2_relabel"] == {
-            "1": 10, "2": 2, "3": 12, "4": 6, "5": 9, "6": 4, "7": 11, "8": 8,
-        }
         assert js["matches"] == [
             [1, "rhs1", "canonical"], [2, "rhs1", "canonical"],
             [3, "rhs2", "canonical"], [4, "rhs2", "canonical"],

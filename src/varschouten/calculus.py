@@ -69,23 +69,20 @@ def _alternating_total(ctx, pmap: dict, axis: int) -> Expression:
 
     Folds from the highest order down (A_0 - D(A_1 - D(A_2 - ...))), so each
     direction is differentiated max-order times instead of once per summand.
+    Each step A_k - D(acc) is one pass of the Leibniz engine (core._derive).
     """
     if axis == ctx.n_indep:
         return pmap[()]
     groups: dict[int, dict] = {}
     for sigma, val in pmap.items():
         groups.setdefault(sigma[0], {})[sigma[1:]] = val
-    acc = None
-    for k in range(max(groups), -1, -1):
-        if acc is not None:
-            acc = total_derivative(acc, axis)
+    top = max(groups)
+    acc = _alternating_total(ctx, groups[top], axis + 1)
+    for k in range(top - 1, -1, -1):
         sub = groups.get(k)
-        if sub is not None:
-            term = _alternating_total(ctx, sub, axis + 1)
-            acc = term if acc is None else term - acc
-        elif acc is not None:
-            acc = -acc
-    return acc if acc is not None else Expression.zero(ctx)
+        minuend = dict(_alternating_total(ctx, sub, axis + 1).terms) if sub else {}
+        acc = Expression(ctx, _derive(acc, axis, minuend)[None])
+    return acc
 
 
 def euler(e: Expression, ref: Union[int, str], side: Side = "left") -> Expression:

@@ -316,7 +316,7 @@ def _func_summands(ctx, funcs: int, op) -> list:
     return out
 
 
-def _derive(e: Expression, op) -> dict:
+def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     """The derivation op of e by the graded Leibniz rule, as {tag: terms}.
 
     op is a direction d for the total derivative D_d, whose one tag is None,
@@ -329,14 +329,22 @@ def _derive(e: Expression, op) -> dict:
     summands are cached per (part, op): parts repeat across nearly every
     monomial.  Both derivations act from the left, so the function part,
     which is even and stands left of the odd part, is crossed without a sign.
+
+    Given a minuend (a term dict the call takes over), the tag None holds
+    minuend - D_d e, built in the same pass.
     """
     ctx = e.ctx
     func_derivs, fmask, guard = ctx._func_derivs, ctx._masks["funcs"], ctx._guard
     acts_on = ~fmask if isinstance(op, int) else ctx._masks[op[0]]
     outs: defaultdict = defaultdict(dict)
+    negate = minuend is not None
+    if negate:
+        outs[None] = minuend
     slot_images: dict = {}  # slot shift -> (tag, delta), built once per call
     bit_images: dict = {}  # odd bit -> its _image
     for (packed, odd), coeff in e.terms.items():
+        if negate:
+            coeff = -coeff
         x = packed & acts_on
         while x:  # x's slots, highest first, as in unpack
             shift = (x.bit_length() - 1) & -SLOT_BITS
@@ -373,14 +381,14 @@ def _derive(e: Expression, op) -> dict:
             if not image:
                 continue
             tag, up = image
-            sign = (odd & (bit - 1)).bit_count()
+            swaps = (odd & (bit - 1)).bit_count()
             rest = odd ^ bit
             if up:
                 if rest & up:
                     continue
-                sign += (rest & (up - 1)).bit_count()
+                swaps += (rest & (up - 1)).bit_count()
                 rest |= up
-            _add_term(outs[tag], (packed, rest), -coeff if sign % 2 else coeff)
+            _add_term(outs[tag], (packed, rest), -coeff if swaps % 2 else coeff)
     _check_powers(ctx, (key for terms in outs.values() for key in terms), e.terms)
     return outs
 
@@ -417,10 +425,11 @@ def _demote(c: Rat) -> Rat:
 
 
 def _rational(value) -> Rat:
-    """value as a coefficient: an int or a Fraction, never a rounded float (TypeError)."""
+    """value as a coefficient: an int or a Fraction, never a rounded float or a
+    bool (TypeError)."""
     if type(value) is int:
         return value
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
     return _demote(Fraction(value))
 
@@ -508,13 +517,25 @@ class Expression:
         return Expression(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def scale(self, factor: Rat) -> "Expression":
-        """factor * self; self itself when factor is 1 (terms are never edited)."""
+        """factor * self; self itself when factor is 1 (terms are never edited).
+
+        An int coefficient c times n/d is c/g * n over d/g, g = gcd(c, d), in
+        int arithmetic: already reduced, and an int when g is d.
+        """
         factor = _rational(factor)
         if factor == 1:
             return self
         if not factor:
             return Expression(self.ctx)
-        return Expression(self.ctx, {k: _demote(c * factor) for k, c in self.terms.items()})
+        n, d = factor.numerator, factor.denominator
+        out = {}
+        for k, c in self.terms.items():
+            if type(c) is int:
+                g = gcd(c, d)
+                out[k] = c // g * n if g == d else Fraction(c // g * n, d // g)
+            else:
+                out[k] = _demote(c * factor)
+        return Expression(self.ctx, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

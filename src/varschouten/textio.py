@@ -493,7 +493,23 @@ def format_density(e: Expression, style: str = "plain") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _term_row(t, memo: dict) -> dict:
+def _report_renderer():
+    """Plain text of the densities of one trace report, rendered once per
+    object, as paired pieces and groups share density objects (expand_trace).
+    The report keeps every object alive, so no id is reused meanwhile."""
+    memo: dict = {}  # shared by every density of the report (see _rows)
+    texts: dict = {}  # id(density) -> text; apart from memo, whose keys are ints too
+
+    def render(e: Expression) -> str:
+        text = texts.get(id(e))
+        if text is None:
+            text = texts[id(e)] = _plain(e, memo)
+        return text
+
+    return render
+
+
+def _term_row(t, render) -> dict:
     return {
         "label": t.label,
         "position": t.position,
@@ -507,14 +523,14 @@ def _term_row(t, memo: dict) -> dict:
             role: (list(block) if block is not None else None)
             for role, block in t.blocks.items()
         },
-        "density": _plain(t.density, memo),
+        "density": render(t.density),
         "status": t.status,
         "level": t.level,
         "partner": list(t.partner) if t.partner else None,
     }
 
 
-def _group_row(g, memo: dict) -> dict:
+def _group_row(g, render) -> dict:
     return {
         "index": g.index,
         "label": g.label,
@@ -522,13 +538,13 @@ def _group_row(g, memo: dict) -> dict:
         "struck": g.struck,
         "role": g.role,
         "sign": g.sign,
-        "density": _plain(g.density, memo),
+        "density": render(g.density),
         "pieces": [t.label for t in g.pieces],
     }
 
 
 def trace_report_to_json(report) -> dict:
-    memo: dict = {}  # shared by every density of the report (see _rows)
+    render = _report_renderer()
     sections = {}
     for name, terms, groups in (
         ("lhs", report.lhs_terms, report.lhs_groups),
@@ -536,22 +552,22 @@ def trace_report_to_json(report) -> dict:
         ("rhs2", report.rhs2_terms, report.rhs2_groups),
     ):
         sections[name] = {
-            "terms": [_term_row(t, memo) for t in terms],
-            "groups": [_group_row(g, memo) for g in groups],
+            "terms": [_term_row(t, render) for t in terms],
+            "groups": [_group_row(g, render) for g in groups],
         }
     return {
         "labels": list(report.labels),
         "parities": dict(report.parities),
         "eq_sign": report.eq_sign,
         "verdict": report.verdict,
-        "residue": _plain(report.residue, memo),
+        "residue": render(report.residue),
         "matches": [list(m) for m in report.matches],
         "cancellation_pairs": [list(p) for p in report.cancellation_pairs],
         "bracket_check": dict(report.bracket_check),
         "totals": {
-            "lhs": _plain(report.lhs_total, memo),
-            "rhs1": _plain(report.rhs1_total, memo),
-            "rhs2": _plain(report.rhs2_total, memo),
+            "lhs": render(report.lhs_total),
+            "rhs1": render(report.rhs1_total),
+            "rhs2": render(report.rhs2_total),
         },
         "sections": sections,
     }
@@ -563,14 +579,14 @@ def format_trace_report(report, style: str = "plain") -> str:
         return _dumps(trace_report_to_json(report))
     if style != "plain":
         raise ValueError(f"unknown format {style!r}")
-    memo: dict = {}  # shared by every density of the report (see _rows)
+    render = _report_renderer()
     p = report.parities
     lines = [
         "shifted-graded Jacobi trace",
         f"functionals: F={report.labels[0]}  G={report.labels[1]}  H={report.labels[2]}",
         f"parities: F={p['F']} G={p['G']} H={p['H']}   eq-sign: {report.eq_sign:+d}",
         f"verdict: {report.verdict}",
-        f"residue: {_plain(report.residue, memo)}",
+        f"residue: {render(report.residue)}",
     ]
     for name, terms in (
         ("lhs", report.lhs_terms),
@@ -581,7 +597,7 @@ def format_trace_report(report, style: str = "plain") -> str:
         lines.append(f"{name} ({n} piece{'s' if n != 1 else ''}):")
         for t in terms:
             partner = f" -> {t.partner[0]}:{t.partner[1]}" if t.partner else ""
-            lines.append(f"  <{t.label}> {t.status}{partner}  {_plain(t.density, memo)}")
+            lines.append(f"  <{t.label}> {t.status}{partner}  {render(t.density)}")
     if report.matches:
         lines.append(
             "matches: "

@@ -189,8 +189,12 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     ctx = F.ctx
     parities = {r: functional_parity(X) for r, X in zip(ROLES, (F, G, H))}
     # Every piece is trilinear in (F, G, H), one factor from each role, so the
-    # expansion runs on the primitive parts (int coefficients) and each
-    # reported density is scaled once, by its sign times the three contents.
+    # expansion runs on the primitive parts (int coefficients): a piece's
+    # signed primitive density is its group's scalar times that product, and
+    # its reported density is that times the three contents.  The content is
+    # positive, so pieces and groups pair on their signed primitive densities,
+    # and a paired one shares its partner's reported density or its negation;
+    # only the others are scaled.
     split = [X.density.content_and_primitive() for X in (F, G, H)]
     prims = {r: Functional(p, X.label) for r, (_, p), X in zip(ROLES, split, (F, G, H))}
     content = split[0][0] * split[1][0] * split[2][0]
@@ -206,10 +210,12 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
 
     groups: dict[str, list[TraceGroup]] = {}
     pieces: dict[str, list[TraceTerm]] = {}
-    group_by_coords: dict[tuple, TraceGroup] = {}
-    # pieces whose partners lie in a later section, by (section, coords,
-    # blocks, cell): the lhs pieces and rhs1's second variations of F
-    awaiting: dict[tuple, TraceTerm] = {}
+    # every group built so far, with its signed primitive density
+    group_by_coords: dict[tuple, tuple[TraceGroup, Expression]] = {}
+    # pieces whose partners lie in a later section, with their signed
+    # primitive densities, by (section, coords, blocks, cell): the lhs pieces
+    # and rhs1's second variations of F, until they pair
+    awaiting: dict[tuple, tuple[TraceTerm, Expression]] = {}
     group_labels, piece_labels = count(1), count(1)
     matches: list[tuple] = []
     cancellation_pairs: list[tuple] = []
@@ -227,7 +233,6 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             # a partner in a section already built carries its final label;
             # groups and pieces whose partners come later take fresh labels
             fresh = where[0] not in groups
-            scale = spec.scalar * content
             group_pieces = []
             group_total: dict = {}
             # The left two-factor product of a piece does not depend on the
@@ -249,8 +254,24 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                         raw = head * last
                         if raw.is_zero():
                             continue
-                        _accumulate(group_total, raw, 1)
+                        signed = raw if spec.scalar > 0 else -raw
+                        _accumulate(group_total, signed, 1)
                         by_role = {sect.P: sig_p, cof_role: sig_c, struck: None}
+                        unstruck = tuple(by_role[r] for r in ROLES)
+                        # a partner the prediction misses, or one that differs,
+                        # leaves the piece pending, to end unresolved
+                        density = None
+                        if fresh:
+                            key = (sect.name,) + spec.coords + (unstruck, cell)
+                        else:
+                            key = where + (unstruck, cell[::-1])
+                            found = awaiting.get(key)
+                            if found is not None:
+                                twin, twin_signed = found
+                                if role == "match" and twin_signed == signed:
+                                    density = twin.density
+                                elif role == "cancel" and (twin_signed + signed).is_zero():
+                                    density = -twin.density
                         piece = TraceTerm(
                             section=sect.name,
                             position=len(sec_pieces) + 1,
@@ -261,34 +282,34 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                             sign=spec.scalar,
                             cell=cell,
                             blocks=by_role,
-                            density=raw.scale(scale),
+                            density=signed.scale(content) if density is None else density,
                         )
                         sec_pieces.append(piece)
                         group_pieces.append(piece)
-                        unstruck = tuple(by_role[r] for r in ROLES)
                         if fresh:
                             piece.label = next(piece_labels)
-                            awaiting[(sect.name,) + spec.coords + (unstruck, cell)] = piece
-                            continue
-                        # a partner the prediction misses, or one that differs,
-                        # leaves the piece pending, to end unresolved
-                        twin = awaiting.get(where + (unstruck, cell[::-1]))
-                        if twin is None or twin.status != "pending":
-                            continue
-                        if role == "match" and twin.density == piece.density:
-                            piece.status = twin.status = "matched"
-                            matches.append((twin.label, sect.name, "canonical"))
-                        elif role == "cancel" and (twin.density + piece.density).is_zero():
-                            piece.status = twin.status = "cancelled"
-                            cancellation_pairs.append((twin.label, twin.label))
-                        else:
-                            continue
-                        piece.label = twin.label
-                        piece.level = twin.level = "canonical"
-                        piece.partner = (twin.section, twin.label)
-                        twin.partner = (sect.name, piece.label)
-            group_raw = Expression(ctx, group_total)
-            _accumulate(sec_total, group_raw, spec.scalar)
+                            awaiting[key] = (piece, signed)
+                        elif density is not None:
+                            del awaiting[key]
+                            if role == "match":
+                                piece.status = twin.status = "matched"
+                                matches.append((twin.label, sect.name, "canonical"))
+                            else:
+                                piece.status = twin.status = "cancelled"
+                                cancellation_pairs.append((twin.label, twin.label))
+                            piece.label = twin.label
+                            piece.level = twin.level = "canonical"
+                            piece.partner = (twin.section, twin.label)
+                            twin.partner = (sect.name, piece.label)
+            group_signed = Expression(ctx, group_total)
+            _accumulate(sec_total, group_signed, 1)
+            density = None
+            if not fresh:
+                mate, mate_signed = group_by_coords[where]
+                if mate_signed == group_signed:
+                    density = mate.density
+                elif (mate_signed + group_signed).is_zero():
+                    density = -mate.density
             group = TraceGroup(
                 section=sect.name,
                 index=index,
@@ -296,12 +317,12 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                 struck=struck,
                 role=role,
                 sign=spec.scalar,
-                density=group_raw.scale(scale),
+                density=group_signed.scale(content) if density is None else density,
                 pieces=group_pieces,
-                label=next(group_labels) if fresh else group_by_coords[where].label,
+                label=next(group_labels) if fresh else mate.label,
             )
             sec_groups.append(group)
-            group_by_coords[(sect.name,) + spec.coords] = group
+            group_by_coords[(sect.name,) + spec.coords] = (group, group_signed)
         primitive_totals[sect.name] = Expression(ctx, sec_total)
 
     # whatever the prediction left unpaired is unresolved, with a fresh label;

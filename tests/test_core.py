@@ -98,6 +98,35 @@ class TestArithmetic:
         assert q.scale(Fraction(3, 2)) == q + q.scale(Fraction(1, 2))
         assert q.scale(0).is_zero()
 
+    @pytest.mark.parametrize(
+        "coeff, factor, want",
+        [
+            (14, Fraction(6, 35), Fraction(12, 5)),
+            (35, Fraction(6, 35), 6),
+            (-9, Fraction(2, 3), -6),
+            (9, Fraction(-2, 3), -6),
+            (-14, Fraction(-6, 35), Fraction(12, 5)),
+            (7, Fraction(-1, 2), Fraction(-7, 2)),
+            (5, -3, -15),
+            (Fraction(5, 6), Fraction(6, 35), Fraction(1, 7)),
+            (Fraction(-5, 6), Fraction(-3, 5), Fraction(1, 2)),
+            (Fraction(-5, 6), Fraction(12, 5), -2),
+            (Fraction(7, 4), 8, 14),
+        ],
+    )
+    def test_scale_agrees_with_fraction_arithmetic(self, ctx, coeff, factor, want):
+        # an int coefficient takes int arithmetic and a Fraction one Fraction
+        # arithmetic; either way an integral result is stored as an int
+        e = parse_density("q*q[1] - 3*p + 2/3*q[2]", ctx) + Expression.const(ctx, coeff)
+        got = e.scale(factor)
+        assert got.terms.keys() == e.terms.keys()
+        for key, c in e.terms.items():
+            exact = Fraction(c) * factor
+            assert got.terms[key] == exact
+            assert type(got.terms[key]) is (int if exact.denominator == 1 else Fraction)
+        (constant,) = (c for key, c in got.terms.items() if key == (0, 0))
+        assert constant == want and type(constant) is type(want)
+
     def test_power_expands_multinomially(self, ctx):
         q, q1 = jet(ctx, "q"), jet(ctx, "q", 1)
         assert format_density((q + q1) ** 2) == "2*q*q[1] + q^2 + q[1]^2"
@@ -156,6 +185,22 @@ class TestArithmetic:
         alien = jet(parse_context("indep x\nfield q even antifield p\n"), "q")
         with pytest.raises(ValueError, match=message):
             call(jet(ctx, "q"), alien)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda q: q * True,
+            lambda q: False * q,
+            lambda q: q.scale(True),
+            lambda q: q.scale(False),
+            lambda q: Expression.const(q.ctx, True),
+            lambda q: Expression.const(q.ctx, False),
+        ],
+        ids=["mul-true", "rmul-false", "scale-true", "scale-false", "const-true", "const-false"],
+    )
+    def test_bool_coefficients_are_refused(self, ctx, op):
+        with pytest.raises(TypeError, match="not bool"):
+            op(jet(ctx, "q"))
 
     def test_coefficients_are_never_rounded(self, ctx):
         q = jet(ctx, "q")

@@ -1,6 +1,6 @@
 """Property tests of the ring axioms, the two derivations, their per-context
-caches, the plain-text and JSON round trips, and the trace and bracket laws
-on random triples.
+caches, the Euler fold, the plain-text and JSON round trips, and the trace and
+bracket laws on random triples.
 
 Densities are drawn as recipes (plain data) and built in a context, so one
 recipe can be built in two contexts that intern function arguments in a
@@ -19,6 +19,8 @@ from varschouten import (
     Expression,
     JetVar,
     cos,
+    euler,
+    euler_blocks,
     expand_trace,
     exp,
     format_density,
@@ -168,6 +170,24 @@ def test_partial_graded_leibniz_rule_both_sides(text, max_order, data):
             )
             assert partial(ab, v, "left") == left
             assert partial(ab, v, "right") == right
+
+
+@CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_euler_is_the_sum_of_its_blocks(text, max_order, data):
+    # euler folds A_0 - D(A_1 - D(A_2 - ...)) one axis inside another, each
+    # step one pass of the Leibniz engine; euler_blocks applies D^sigma to
+    # each partial on its own
+    ctx = parse_context(text)
+    a, b = _pair(data, ctx, max_order)
+    for e in (a, a * b + b):
+        for owner in range(len(ctx.names)):
+            for side in ("left", "right"):
+                total = Expression.zero(ctx)
+                for _, block in euler_blocks(e, owner, side):
+                    total = total + block
+                assert euler(e, owner, side) == total, (owner, side)
 
 
 def _asks(ctx) -> list:

@@ -372,6 +372,10 @@ def test_trace_report_renders_each_density_as_alone(ctx, texts):
     # each must read exactly as the density rendered on its own
     rep = expand_trace(*(Functional(parse_density(t, ctx), r) for t, r in zip(texts, "FGH")))
     assert rep.rhs1_terms
+    _assert_each_density_renders_as_alone(rep)
+
+
+def _assert_each_density_renders_as_alone(rep):
     doc = json.loads(format_trace_report(rep, "json"))
     for name in ("lhs", "rhs1", "rhs2"):
         rows = doc["sections"][name]
@@ -385,3 +389,55 @@ def test_trace_report_renders_each_density_as_alone(ctx, texts):
     pieces = [line for line in plain if line.startswith("  <")]
     terms = rep.lhs_terms + rep.rhs1_terms + rep.rhs2_terms
     assert [line.split("  ", 2)[2] for line in pieces] == [format_density(t.density) for t in terms]
+
+
+@pytest.mark.parametrize(
+    "text, max_jet_order, index",
+    [
+        ("indep x\nfield q even antifield p\n", 2, 1),
+        ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 1, 1),
+        ("indep x y\nfield q even antifield p\n", 1, 1),
+        ("indep t\nfield psi odd antifield chi\n", 1, 1),
+    ],
+    ids=["default", "pairs", "plane", "odd"],
+)
+def test_paired_pieces_render_as_their_partners(text, max_jet_order, index):
+    # a paired piece holds its partner's density or its negation, and each
+    # density object is rendered once per report: every rendered density must
+    # still read as the density alone.  The contents of these triples
+    # multiply to a Fraction, by which the unpaired densities are scaled.
+    ctx = parse_context(text)
+    rng = random.Random(trial_seed(2026, index))
+    params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
+    triple = [random_functional(ctx, rng, params, r) for r in "FGH"]
+    rep = expand_trace(*triple)
+    _assert_each_density_renders_as_alone(rep)
+    pieces = rep.lhs_terms + rep.rhs1_terms + rep.rhs2_terms
+    by_label = {(t.section, t.label): t for t in pieces}
+    assert len(by_label) == len(pieces)
+    statuses = set()
+    for t in pieces:
+        partner = by_label[t.partner]
+        assert partner.partner == (t.section, t.label)
+        if t.status == "matched":
+            assert t.density == partner.density
+        else:
+            assert t.status == "cancelled"
+            assert t.density == -partner.density
+        statuses.add(t.status)
+    assert statuses == {"matched", "cancelled"}
+    # a group may hold its partner group's density, the section totals not
+    totals = {}
+    for name in ("lhs", "rhs1", "rhs2"):
+        totals[name] = Expression.zero(ctx)
+        for g in getattr(rep, f"{name}_groups"):
+            total = Expression.zero(ctx)
+            for t in g.pieces:
+                total = total + t.density
+            assert g.density == total, (name, g.index)
+            totals[name] = totals[name] + total
+        assert getattr(rep, f"{name}_total") == totals[name]
+    assert rep.residue == totals["lhs"] - totals["rhs1"] - totals["rhs2"]
+    coeffs = [c for t in pieces for c in t.density.terms.values()]
+    assert any(type(c) is Fraction for c in coeffs)
+    assert not any(type(c) is Fraction and c.denominator == 1 for c in coeffs)

@@ -104,6 +104,8 @@ class FieldContext:
         if len(seen) != len(self.indep):
             raise ValueError("independent coordinate names must be distinct")
         for fname, aname, fparity in pairs:
+            if type(fparity) is not int:
+                raise ValueError(f"parity of field {fname!r} must be an int, not {fparity!r}")
             for name in (fname, aname):
                 _check_name(name)
                 if name in seen:
@@ -558,7 +560,7 @@ class Expression:
     __rmul__ = __mul__  # int * e or Fraction * e: a rational scalar commutes
 
     def __pow__(self, exponent: int) -> "Expression":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Expression.const(self.ctx, 1)
         for _ in range(exponent):

@@ -24,8 +24,8 @@ class Functional:
         return is_exact(self.density)
 
     def __repr__(self) -> str:
-        name = self.label or "functional"
-        return f"<{name}: {len(self.density.terms)} monomials>"
+        name, n = self.label or "functional", len(self.density.terms)
+        return f"<{name}: {n} monomial{'s' if n != 1 else ''}>"
 
 
 def zero_functional(ctx: FieldContext) -> Functional:

@@ -210,15 +210,10 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
 
     groups: dict[str, list[TraceGroup]] = {}
     pieces: dict[str, list[TraceTerm]] = {}
-    # every group built so far, with its signed primitive density
-    group_by_coords: dict[tuple, tuple[TraceGroup, Expression]] = {}
-    # pieces whose partners lie in a later section, with their signed
-    # primitive densities, by (section, coords, blocks, cell): the lhs pieces
-    # and rhs1's second variations of F, until they pair
-    awaiting: dict[tuple, tuple[TraceTerm, Expression]] = {}
+    # every group by (section, coords) and every piece by (section, coords,
+    # blocks, cell), each with its signed primitive density
+    partners: dict[tuple, tuple] = {}
     group_labels, piece_labels = count(1), count(1)
-    matches: list[tuple] = []
-    cancellation_pairs: list[tuple] = []
     primitive_totals: dict[str, Expression] = {}
 
     for sect in SECTIONS:
@@ -235,23 +230,17 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             fresh = where[0] not in groups
             group_pieces = []
             group_total: dict = {}
-            # The left two-factor product of a piece does not depend on the
-            # loop over its third factor, so it is built once per group,
-            # keyed by the operands' positions in the block and cell lists.
-            heads: dict = {}
-            for ip, (sig_p, val_p) in enumerate(blocks(*spec.outer)):
+            # the inner bracket's product x * y, in argument order, does not
+            # depend on the outer block, so it is built once per group
+            inners: dict = {}
+            for sig_p, val_p in blocks(*spec.outer):
                 for ic, (sig_c, val_c) in enumerate(blocks(*spec.cofactor)):
                     for ix, (cell, val_cell) in enumerate(cells(*spec.struck)):
-                        first, second = (val_cell, val_c) if target == 0 else (val_c, val_cell)
-                        if sect.composite_second:  # (val_p * first) * second
-                            at = (ip, ix if target == 0 else ic)
-                            left, right, last = val_p, first, second
-                        else:  # (first * second) * val_p
-                            at, left, right, last = (ic, ix), first, second, val_p
-                        head = heads.get(at)
-                        if head is None:
-                            head = heads[at] = left * right
-                        raw = head * last
+                        inner = inners.get((ic, ix))
+                        if inner is None:
+                            x, y = (val_cell, val_c) if target == 0 else (val_c, val_cell)
+                            inner = inners[ic, ix] = x * y
+                        raw = val_p * inner if sect.composite_second else inner * val_p
                         if raw.is_zero():
                             continue
                         signed = raw if spec.scalar > 0 else -raw
@@ -260,18 +249,8 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                         unstruck = tuple(by_role[r] for r in ROLES)
                         # a partner the prediction misses, or one that differs,
                         # leaves the piece pending, to end unresolved
-                        density = None
-                        if fresh:
-                            key = (sect.name,) + spec.coords + (unstruck, cell)
-                        else:
-                            key = where + (unstruck, cell[::-1])
-                            found = awaiting.get(key)
-                            if found is not None:
-                                twin, twin_signed = found
-                                if role == "match" and twin_signed == signed:
-                                    density = twin.density
-                                elif role == "cancel" and (twin_signed + signed).is_zero():
-                                    density = -twin.density
+                        key = where + (unstruck, cell[::-1])
+                        density = _paired(partners, key, role, signed)
                         piece = TraceTerm(
                             section=sect.name,
                             position=len(sec_pieces) + 1,
@@ -286,30 +265,19 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                         )
                         sec_pieces.append(piece)
                         group_pieces.append(piece)
+                        partners[(sect.name,) + spec.coords + (unstruck, cell)] = (piece, signed)
                         if fresh:
                             piece.label = next(piece_labels)
-                            awaiting[key] = (piece, signed)
                         elif density is not None:
-                            del awaiting[key]
-                            if role == "match":
-                                piece.status = twin.status = "matched"
-                                matches.append((twin.label, sect.name, "canonical"))
-                            else:
-                                piece.status = twin.status = "cancelled"
-                                cancellation_pairs.append((twin.label, twin.label))
+                            twin = partners[key][0]
+                            piece.status = twin.status = "matched" if role == "match" else "cancelled"
                             piece.label = twin.label
                             piece.level = twin.level = "canonical"
                             piece.partner = (twin.section, twin.label)
                             twin.partner = (sect.name, piece.label)
             group_signed = Expression(ctx, group_total)
             _accumulate(sec_total, group_signed, 1)
-            density = None
-            if not fresh:
-                mate, mate_signed = group_by_coords[where]
-                if mate_signed == group_signed:
-                    density = mate.density
-                elif (mate_signed + group_signed).is_zero():
-                    density = -mate.density
+            density = _paired(partners, where, role, group_signed)
             group = TraceGroup(
                 section=sect.name,
                 index=index,
@@ -319,16 +287,17 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                 sign=spec.scalar,
                 density=group_signed.scale(content) if density is None else density,
                 pieces=group_pieces,
-                label=next(group_labels) if fresh else mate.label,
+                label=next(group_labels) if fresh else partners[where][0].label,
             )
             sec_groups.append(group)
-            group_by_coords[(sect.name,) + spec.coords] = (group, group_signed)
+            partners[(sect.name,) + spec.coords] = (group, group_signed)
         primitive_totals[sect.name] = Expression(ctx, sec_total)
 
     # whatever the prediction left unpaired is unresolved, with a fresh label;
     # this walk comes last, as a later rhs2 piece may pair an rhs1 cancel piece
     unresolved = False
-    for piece in pieces["lhs"] + pieces["rhs1"] + pieces["rhs2"]:
+    rhs = pieces["rhs1"] + pieces["rhs2"]
+    for piece in pieces["lhs"] + rhs:
         if piece.status == "pending":
             piece.status = "unresolved"
             unresolved = True
@@ -340,7 +309,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     )
     totals = {name: t.scale(content) for name, t in primitive_totals.items()}
 
-    report = TraceReport(
+    return TraceReport(
         labels=(F.label or "F", G.label or "G", H.label or "H"),
         parities=parities,
         eq_sign=eq1_sign(parities["F"], parities["G"]),
@@ -350,8 +319,11 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
         lhs_groups=groups["lhs"],
         rhs1_groups=groups["rhs1"],
         rhs2_groups=groups["rhs2"],
-        matches=sorted(matches),
-        cancellation_pairs=sorted(cancellation_pairs),
+        matches=sorted((t.label, t.section, t.level) for t in rhs if t.status == "matched"),
+        # one pair per cancelled rhs2 piece, which took its rhs1 partner's label
+        cancellation_pairs=sorted(
+            (t.label, t.label) for t in pieces["rhs2"] if t.status == "cancelled"
+        ),
         verdict="unresolved" if unresolved else "verified",
         residue=primitive_residue.scale(content),
         lhs_total=totals["lhs"],
@@ -361,7 +333,6 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             prims["F"], prims["G"], prims["H"], primitive_residue
         ),
     )
-    return report
 
 
 def _partner_coords(section: str, struck: str, coords: tuple) -> tuple:
@@ -385,6 +356,22 @@ def _partner_coords(section: str, struck: str, coords: tuple) -> tuple:
     return ("rhs1", j, f_i, i, 1 - f_o, 0)
 
 
+def _paired(partners: dict, key: tuple, role: str, signed: Expression):
+    """What a piece or group reports when it pairs with the one stored at key.
+
+    Pairing compares signed primitive densities: a match pairs when it equals
+    its partner and reports the partner's density, a cancel when it is the
+    opposite and reports the negation.  None when nothing at key pairs."""
+    found = partners.get(key)
+    if found is not None:
+        twin, twin_signed = found
+        if role == "match" and twin_signed == signed:
+            return twin.density
+        if role == "cancel" and (twin_signed + signed).is_zero():
+            return -twin.density
+    return None
+
+
 def _level(e: Expression) -> str:
     if e.is_zero():
         return "canonical"
@@ -401,8 +388,8 @@ def _bracket_check(F, G, H, residue) -> dict:
     modulo divergences; the meaningful statements are joint.  Reported levels:
     "residue" for the trace combination lhs - rhs1 - rhs2, "plain_defect" for
     the same combination of plain iterated brackets, and "joint" for the
-    difference of the two combinations.  When either combination is zero the
-    difference is the other one up to sign, whose level is already known.
+    difference of the two combinations.  When the residue is zero the
+    difference is the plain defect up to sign, whose level is already known.
     Scaling F, G and H by a, b and c scales both combinations by abc and
     changes no level, so the trace passes its primitive triple and the
     residue of their expansion.
@@ -411,8 +398,6 @@ def _bracket_check(F, G, H, residue) -> dict:
     levels = {"residue": _level(residue), "plain_defect": _level(plain_defect)}
     if residue.is_zero():
         levels["joint"] = levels["plain_defect"]
-    elif plain_defect.is_zero():
-        levels["joint"] = levels["residue"]
     else:
         levels["joint"] = _level(residue - plain_defect)
     return levels

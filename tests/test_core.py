@@ -47,6 +47,11 @@ class TestFieldContext:
         ctx = FieldContext(("x",), (("a", "b", 2),))
         assert ctx.parities == [0, 1]
 
+    @pytest.mark.parametrize("parity", [True, False, "odd", 1.0, None], ids=repr)
+    def test_parity_must_be_an_int(self, parity):
+        with pytest.raises(ValueError, match="parity of field 'q' must be an int"):
+            FieldContext(("x",), (("q", "p", parity),))
+
     def test_requires_independent_coordinate(self):
         with pytest.raises(ValueError, match="independent"):
             FieldContext((), (("q", "p", 0),))
@@ -138,6 +143,17 @@ class TestArithmetic:
         assert left == right
         assert left.structural_key() == right.structural_key()
 
+    def test_repr_counts_monomials(self, ctx):
+        q = jet(ctx, "q")
+        assert repr(Expression.zero(ctx)) == "<Expression: 0 monomials>"
+        assert repr(q) == "<Expression: 1 monomial>"
+        assert repr(q + jet(ctx, "p")) == "<Expression: 2 monomials>"
+
+    def test_equality_with_a_non_expression_is_false(self, ctx):
+        q = jet(ctx, "q")
+        assert (q == 1) is False and (q != 1) is True
+        assert (Expression.const(ctx, 1) == 1) is False
+
     def test_const_and_zero(self, ctx):
         one = Expression.const(ctx, 1)
         assert not one.is_zero()
@@ -168,6 +184,8 @@ class TestArithmetic:
             (lambda q, alien: q * alien, "different field contexts"),
             (lambda q, alien: euler(q, "q", "up"), "side must be 'left' or 'right'"),
             (lambda q, alien: q**-1, "nonnegative integer"),
+            (lambda q, alien: q**True, "nonnegative integer"),
+            (lambda q, alien: q**False, "nonnegative integer"),
             (lambda q, alien: reorder_sign_ledger(2, 0), "parities must be 0 or 1"),
             (
                 lambda q, alien: functional_eq(Functional(q), Functional(alien)),
@@ -178,7 +196,8 @@ class TestArithmetic:
                 "different field contexts",
             ),
         ],
-        ids=["add-alien", "mul-alien", "euler-side", "pow-negative", "ledger-parity",
+        ids=["add-alien", "mul-alien", "euler-side", "pow-negative", "pow-true", "pow-false",
+             "ledger-parity",
              "functional-eq-alien", "scale-add-alien"],
     )
     def test_invalid_arguments_raise_value_error(self, ctx, call, message):

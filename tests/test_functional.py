@@ -62,3 +62,9 @@ def test_label_and_context(ctx):
     assert F.label == "name"
     assert Functional(parse_density("q", ctx)).label == ""
     assert F.ctx is ctx
+
+
+def test_repr_counts_monomials(ctx):
+    assert repr(Functional(parse_density("q", ctx), "F")) == "<F: 1 monomial>"
+    assert repr(Functional(parse_density("q + p", ctx))) == "<functional: 2 monomials>"
+    assert repr(zero_functional(ctx)) == "<0: 0 monomials>"

@@ -15,10 +15,12 @@ import varschouten
 from varschouten import (
     cli,
     format_density,
+    functional_parity,
     fuzz,
     graded_symmetry_defect,
     is_exact,
     jacobi_defect,
+    parse_context,
     parse_density,
     schouten_bracket,
 )
@@ -189,6 +191,43 @@ class TestFuzz:
     def test_plain_summary(self, capsys):
         code, out, err = run(["fuzz", "--count", "3", "--seed", "5"], capsys)
         assert (code, out, err) == (0, "3/3 verified (0 degenerate)\n", "")
+
+    def test_plain_failure_lines(self, ctx, capsys, monkeypatch):
+        # every check fails, so each trial prints one residue line
+        monkeypatch.setattr(fuzz, "is_exact", lambda e: False)
+        code, out, err = run(["fuzz", "--count", "2", "--seed", "2026"], capsys)
+        failures = fuzz.run_fuzz(ctx, FuzzParams(seed=2026, count=2))
+        lines = out.splitlines()
+        assert (code, err, lines[0], len(lines)) == (1, "", "0/2 verified (0 degenerate)", 3)
+        for index, (line, failure) in enumerate(zip(lines[1:], failures["failures"])):
+            seed = fuzz.trial_seed(2026, index)
+            assert line == f"  trial {index} (seed {seed}): residue {failure['residue']}"
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "indep x\nfield q even antifield p\n",
+            "indep x\nfield u even antifield v\nfield a odd antifield b\n",
+            "indep t\nfield psi odd antifield chi\n",
+        ],
+        ids=["default", "pairs", "odd"],
+    )
+    def test_parity_choice_fixes_every_drawn_parity(self, monkeypatch, text, parity):
+        drawn, draw = [], fuzz.random_functional
+
+        def recorded(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(fuzz, "random_functional", recorded)
+        params = FuzzParams(seed=2026, count=4, max_jet_order=1, parity=parity)
+        report = fuzz.run_fuzz(parse_context(text), params)
+        assert report["verified"] == report["trials"] == 4
+        assert len(drawn) == 12
+        nonzero = [F for F in drawn if not F.density.is_zero()]
+        want = 1 if parity == "odd" else 0
+        assert nonzero and {functional_parity(F) for F in nonzero} == {want}
 
     def test_no_funcs_flag(self, capsys):
         code, out, _ = run(

@@ -428,6 +428,10 @@ class TestTraceRendering:
             text = line.split("  ", 2)[2]
             assert not parse_density(text, ctx).is_zero()
 
+    def test_latex_is_refused(self):
+        with pytest.raises(ValueError, match="unknown format 'latex'"):
+            format_trace_report(self.report, "latex")
+
 
 class TestTraceJson:
     @pytest.fixture(autouse=True)

@@ -193,7 +193,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # exit 1 means a defect, so a fault gets its own code
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -562,9 +562,15 @@ class Expression:
     def __pow__(self, exponent: int) -> "Expression":
         if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Expression.const(self.ctx, 1)
-        for _ in range(exponent):
-            result = result * self
+        # square and multiply, never squaring past the exponent's top bit, so
+        # no power in between is larger than the result's
+        result, base = Expression.const(self.ctx, 1), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

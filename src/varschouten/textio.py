@@ -47,9 +47,9 @@ from .core import (
 #: recurses once per level, so this keeps it far from the interpreter's limit
 MAX_NESTING = 100
 
-#: largest exponent of one factor; Expression.__pow__ multiplies once per unit
-#: of exponent, so this keeps `q^99999999999` from running without end; a power
-#: of a group counts its own exponent times the largest exponent inside it
+#: largest exponent of one factor.  It bounds the growth of coefficients and
+#: terms: ((2^1000)^1000)^1000 would be a number of 10^9 bits.  A power of a
+#: group counts its own exponent times the largest exponent inside it
 MAX_EXPONENT = 1000
 
 #: largest total order (sum of the multi-index) of a jet in parsed text.  The
@@ -493,6 +493,10 @@ def format_density(e: Expression, style: str = "plain") -> str:
 # ---------------------------------------------------------------------------
 
 
+#: the trace report's sections, in display order
+_SECTIONS = ("lhs", "rhs1", "rhs2")
+
+
 def _report_renderer():
     """Plain text of the densities of one trace report, rendered once per
     object, as paired pieces and groups share density objects (expand_trace).
@@ -509,74 +513,49 @@ def _report_renderer():
     return render
 
 
-def _term_row(t, render) -> dict:
+def _report_data(report) -> dict:
+    """The trace report as plain data for json.dumps.  A piece or group row
+    holds every field of its TraceTerm or TraceGroup but the section, which
+    its place gives: the density as plain text, a group's pieces as labels."""
+    render = _report_renderer()
+
+    def row(obj, **extra) -> dict:
+        data = dict(obj.__dict__, density=render(obj.density), **extra)
+        del data["section"]
+        return data
+
     return {
-        "label": t.label,
-        "position": t.position,
-        "group": t.group,
-        "coords": list(t.coords),
-        "struck": t.struck,
-        "role": t.role,
-        "sign": t.sign,
-        "cell": [list(t.cell[0]), list(t.cell[1])],
-        "blocks": {
-            role: (list(block) if block is not None else None)
-            for role, block in t.blocks.items()
+        "labels": report.labels,
+        "parities": report.parities,
+        "eq_sign": report.eq_sign,
+        "verdict": report.verdict,
+        "residue": render(report.residue),
+        "matches": report.matches,
+        "cancellation_pairs": report.cancellation_pairs,
+        "bracket_check": report.bracket_check,
+        "totals": {name: render(getattr(report, name + "_total")) for name in _SECTIONS},
+        "sections": {
+            name: {
+                "terms": [row(t) for t in getattr(report, name + "_terms")],
+                "groups": [
+                    row(g, pieces=[t.label for t in g.pieces])
+                    for g in getattr(report, name + "_groups")
+                ],
+            }
+            for name in _SECTIONS
         },
-        "density": render(t.density),
-        "status": t.status,
-        "level": t.level,
-        "partner": list(t.partner) if t.partner else None,
-    }
-
-
-def _group_row(g, render) -> dict:
-    return {
-        "index": g.index,
-        "label": g.label,
-        "coords": list(g.coords),
-        "struck": g.struck,
-        "role": g.role,
-        "sign": g.sign,
-        "density": render(g.density),
-        "pieces": [t.label for t in g.pieces],
     }
 
 
 def trace_report_to_json(report) -> dict:
-    render = _report_renderer()
-    sections = {}
-    for name, terms, groups in (
-        ("lhs", report.lhs_terms, report.lhs_groups),
-        ("rhs1", report.rhs1_terms, report.rhs1_groups),
-        ("rhs2", report.rhs2_terms, report.rhs2_groups),
-    ):
-        sections[name] = {
-            "terms": [_term_row(t, render) for t in terms],
-            "groups": [_group_row(g, render) for g in groups],
-        }
-    return {
-        "labels": list(report.labels),
-        "parities": dict(report.parities),
-        "eq_sign": report.eq_sign,
-        "verdict": report.verdict,
-        "residue": render(report.residue),
-        "matches": [list(m) for m in report.matches],
-        "cancellation_pairs": [list(p) for p in report.cancellation_pairs],
-        "bracket_check": dict(report.bracket_check),
-        "totals": {
-            "lhs": render(report.lhs_total),
-            "rhs1": render(report.rhs1_total),
-            "rhs2": render(report.rhs2_total),
-        },
-        "sections": sections,
-    }
+    """The JSON trace report parsed back: exactly what its text says."""
+    return json.loads(format_trace_report(report, "json"))
 
 
 def format_trace_report(report, style: str = "plain") -> str:
     """Render a Jacobi trace report as readable text or as JSON."""
     if style == "json":
-        return _dumps(trace_report_to_json(report))
+        return _dumps(_report_data(report))
     if style != "plain":
         raise ValueError(f"unknown format {style!r}")
     render = _report_renderer()
@@ -588,11 +567,8 @@ def format_trace_report(report, style: str = "plain") -> str:
         f"verdict: {report.verdict}",
         f"residue: {render(report.residue)}",
     ]
-    for name, terms in (
-        ("lhs", report.lhs_terms),
-        ("rhs1", report.rhs1_terms),
-        ("rhs2", report.rhs2_terms),
-    ):
+    for name in _SECTIONS:
+        terms = getattr(report, name + "_terms")
         n = len(terms)
         lines.append(f"{name} ({n} piece{'s' if n != 1 else ''}):")
         for t in terms:

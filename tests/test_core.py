@@ -239,8 +239,15 @@ class TestPowerLimit:
     def test_power_past_the_slot_raises(self, ctx):
         q = jet(ctx, "q")
         assert format_density(q**MAX_POWER) == f"q^{MAX_POWER}"
-        with pytest.raises(ValueError, match="larger than"):
-            q**70000
+        for exponent in (MAX_POWER + 1, 70000):
+            with pytest.raises(ValueError, match="larger than"):
+                q**exponent
+
+    def test_power_of_a_constant_or_zero_is_quick(self, ctx):
+        # square and multiply: a few dozen products, not one per unit of exponent
+        one = Expression.const(ctx, 1)
+        assert one ** 10**6 == one
+        assert (Expression.zero(ctx) ** 10**9).is_zero()
 
     def test_repeated_squaring(self, ctx):
         e = jet(ctx, "q") * jet(ctx, "q", 1)

@@ -26,7 +26,7 @@ from varschouten import (
 )
 from varschouten.cli import _build_parser, main
 from varschouten.core import MAX_POWER
-from varschouten.fuzz import FuzzParams
+from varschouten.fuzz import MAX_DEGREE, MAX_MONOMIALS, FuzzParams
 from varschouten.textio import MAX_DIGITS, MAX_EXPONENT, MAX_JET_ORDER, MAX_NESTING
 
 GOLDEN_F = "p * q * q[2]"
@@ -229,6 +229,24 @@ class TestFuzz:
         want = 1 if parity == "odd" else 0
         assert nonzero and {functional_parity(F) for F in nonzero} == {want}
 
+    def test_a_monomial_past_its_redraws_is_left_out(self, ctx, monkeypatch):
+        # with jets of order 0 the line has one odd jet, p, so an odd monomial
+        # that draws three odd factors is zero; after 8 such draws in a row
+        # _random_monomial gives up, and the density keeps its other monomial
+        drawn, draw = [], fuzz._random_monomial
+
+        def recorded(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(fuzz, "_random_monomial", recorded)
+        params = FuzzParams(seed=66, count=1, max_jet_order=0, max_monomials=2, parity="odd")
+        rng = random.Random(fuzz.trial_seed(params.seed, 0))
+        triple = [fuzz.random_functional(ctx, rng, params, r) for r in "FGH"]
+        assert drawn.count(None) == 1
+        assert [X.density.parity for X in triple] == [1, 1, 1]
+        assert fuzz.run_fuzz(ctx, params)["verified"] == 1
+
     def test_no_funcs_flag(self, capsys):
         code, out, _ = run(
             ["fuzz", "--count", "2", "--seed", "3", "--no-funcs"], capsys
@@ -252,7 +270,10 @@ class TestFuzz:
             ("--max-jet-order", "-1"),
             ("--max-jet-order", str(MAX_JET_ORDER + 1)),  # past the parser's limit
             ("--max-degree", "0"),
+            ("--max-degree", str(MAX_DEGREE + 1)),
             ("--max-monomials", "0"),
+            ("--max-monomials", str(MAX_MONOMIALS + 1)),
+            ("--max-monomials", "1000000"),
         ],
     )
     def test_out_of_range_settings_exit_2(self, capsys, flag, value):
@@ -516,10 +537,9 @@ def test_module_entry_point():
     # run from the directory holding the imported package, so that the child
     # finds the same package when only pytest's `pythonpath` setting has it
     proc = subprocess.run(
-        [sys.executable, "-m", "varschouten", "normalize", "--density", "q + q"],
+        [sys.executable, "-m", "varschouten", "normalize", "--density", "q[1]*p + p*q[1]"],
         capture_output=True,
         text=True,
         cwd=Path(varschouten.__file__).parents[1],
     )
-    assert proc.returncode == 0
-    assert proc.stdout == "2*q\n"
+    assert (proc.returncode, proc.stdout) == (0, "2*q[1]*p\n")

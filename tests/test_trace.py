@@ -20,7 +20,7 @@ from varschouten import (
 )
 from varschouten.fuzz import FuzzParams, random_functional, trial_seed
 from varschouten.core import Expression
-from varschouten.textio import format_density, format_trace_report
+from varschouten.textio import format_density, format_trace_report, trace_report_to_json
 
 
 def test_second_variation_cells_frozen(ctx, golden):
@@ -377,6 +377,7 @@ def test_trace_report_renders_each_density_as_alone(ctx, texts):
 
 def _assert_each_density_renders_as_alone(rep):
     doc = json.loads(format_trace_report(rep, "json"))
+    assert trace_report_to_json(rep) == doc
     for name in ("lhs", "rhs1", "rhs2"):
         rows = doc["sections"][name]
         for row, t in zip(rows["terms"], getattr(rep, f"{name}_terms"), strict=True):

@@ -79,7 +79,8 @@ class FieldContext:
 
     Owners are numbered in declaration order: the k-th field is 2k and its
     antifield 2k+1, whose parity is the field parity flipped.  The
-    context also owns the hash-cons table for function-factor arguments, the
+    context also owns the hash-cons table for function-factor arguments
+    (with the reach of each argument _lower has met), the
     numbering of packed monomial keys (a slot per even jet or function unit,
     a bit per odd jet), and the derivative cache of the Leibniz engine: the
     chain-rule summands of every derivation (a total derivative, or a sweep
@@ -116,10 +117,12 @@ class FieldContext:
             self.pairs.append((fi, ai))
         if not self.pairs:
             raise ValueError("at least one field/antifield pair is required")
-        # hash-cons storage for function-factor arguments
+        # hash-cons storage for function-factor arguments, and the reach of
+        # each argument that _lower has met (_reach)
         self._args: list[Expression] = []
         self._arg_keys: list[tuple] = []
         self._arg_index: dict[tuple, int] = {}
+        self._arg_reach: dict[int, tuple[int, int]] = {}
         # Packed keys (see _one): the unit of each slot, the odd jet of each
         # bit, one power of each unit as a key part, the masks of each owner's
         # slots and of the function units' slots, and every slot's guard bit.
@@ -393,6 +396,152 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
             _add_term(outs[tag], (packed, rest), -coeff if swaps % 2 else coeff)
     _check_powers(ctx, (key for terms in outs.values() for key in terms), e.terms)
     return outs
+
+
+def _reach(ctx, aid: int) -> tuple[int, int]:
+    """(order, bound) of a function argument, memoized in ctx._arg_reach: its
+    highest jet order, and a bound on every power in a monomial of its total
+    derivative (the argument's highest power, plus one, plus the bound of
+    the function arguments inside it)."""
+    got = ctx._arg_reach.get(aid)
+    if got is None:
+        terms = ctx.arg(aid).terms
+        slots, bits, inner = _held(ctx, terms)
+        top = max(((p & m) >> (m.bit_length() - SLOT_BITS) for p, _ in terms for m, _, _ in slots),
+                  default=0)
+        order = max((o for _, o, _ in slots + bits), default=0)
+        got = ctx._arg_reach[aid] = (order, top + 1 + inner)
+    return got
+
+
+def _held(ctx, terms: dict) -> tuple[list, list, int]:
+    """The slots and the odd bits that the keys of terms hold, as (mask, order,
+    owner): the slot's or bit's mask in its key part, its jet order and its
+    owner.  A function unit has owner None and its argument's order; the
+    largest bound of their arguments (_reach) comes third."""
+    full = (1 << SLOT_BITS) - 1
+    packed = odd = bound = 0
+    for p, o in terms:
+        packed |= p
+        odd |= o
+    slots, bits = [], []
+    while packed:
+        shift = (packed.bit_length() - 1) & -SLOT_BITS
+        packed &= ~(full << shift)
+        unit = ctx._units[shift // SLOT_BITS]
+        if isinstance(unit, JetVar):
+            slots.append((full << shift, unit.degree, unit.owner))
+        else:
+            order, b = _reach(ctx, unit[1])
+            slots.append((full << shift, order, None))
+            bound = max(bound, b)
+    while odd:
+        bit = odd & -odd
+        odd ^= bit
+        v = ctx._odd_jets[bit.bit_length() - 1]
+        bits.append((bit, v.degree, v.owner))
+    return slots, bits, bound
+
+
+def _lower(e: Expression) -> tuple[Expression, Expression]:
+    """Integrate the top-order jets of a 1-D density by parts: (flux, remainder).
+
+    e == D(flux) + remainder canonically, so the remainder has e's Euler
+    operators (E o D = 0) and e's zero-section value (every monomial of D(h)
+    has a jet outside any function factor).  From the top jet order n down to
+    1, and per owner u in index order, every monomial m = c*B*u_{n-1}^k*u_n
+    of the remainder is picked in which u_n stands once outside any function
+    factor and
+      - no other jet has order n or more, inside function arguments or not;
+      - no function argument reaches order n-1, so D of B raises no jet
+        inside a function factor to order n;
+      - no owner before u has an (n-1)-jet, so D of the flux raises no order-n
+        jet of an owner lowered before u at this order;
+      - for an odd u, u_{n-1} does not appear;
+      - no power reaches half a slot, so k < MAX_POWER.
+    A pick adds c/(k+1)*B*u_{n-1}^(k+1) to the flux, for an odd u B*u_{n-1}
+    with the sign that D turns back into m.  Every other monomial of D of
+    u's picks holds u_{n-1}, which the owners after u may not pick, so all
+    owners pick from the remainder as the order began, and the remainder
+    loses D of the order's picks in one _derive pass.  The pass stops after
+    the first order that leaves a monomial of that order.  So that D of the
+    flux carries into no guard bit, e is left whole when the total
+    derivative of a function argument in it may hold a power of
+    MAX_POWER // 2 or more.  e.terms is never edited.
+    """
+    ctx = e.ctx
+    if ctx.n_indep != 1:
+        raise ValueError("lowering needs a single independent coordinate")
+    full = (1 << SLOT_BITS) - 1
+    flux: dict = {}
+    rest = e.terms
+    slots, bits, bound = _held(ctx, rest)
+    if bound >= MAX_POWER // 2:
+        return Expression(ctx), e
+    n = max((o for _, o, _ in slots + bits), default=0)
+    while n:
+        # high: what no pick may hold beyond its u_n (any power past half a
+        # slot included); low: the (n-1)-jets per owner; tops: each held u_n
+        high_p, high_o = ctx._guard >> 1, 0
+        low_p, low_o = [0] * len(ctx.names), [0] * len(ctx.names)
+        tops_p, tops_o = {}, {}
+        for m, o, w in slots:
+            if w is None:
+                if o >= n - 1:
+                    high_p |= m
+            elif o >= n:
+                high_p |= m
+                if o == n:
+                    tops_p[m & -m] = w
+            elif o == n - 1:
+                low_p[w] |= m
+        for m, o, w in bits:
+            if o >= n:
+                high_o |= m
+                if o == n:
+                    tops_o[m] = w
+            elif o == n - 1:
+                low_o[w] |= m
+        # a pick of u may hold no (n-1)-jet of an owner before u, nor u_{n-1}
+        # when u is odd (an odd u's (n-1)-jet is an odd bit)
+        guards, guard_p, guard_o = [], 0, 0
+        for w in range(len(ctx.names)):
+            guard_o |= low_o[w]
+            guards.append((guard_p, guard_o))
+            guard_p |= low_p[w]
+        lows: dict = {}
+        picks: dict = {}
+        for (packed, odd), c in rest.items():
+            top_p, top_o = packed & high_p, odd & high_o
+            if top_o:
+                u = None if top_p else tops_o.get(top_o)
+            else:
+                u = tops_p.get(top_p)
+            if u is None:
+                continue
+            guard_p, guard_o = guards[u]
+            if packed & guard_p or odd & guard_o:
+                continue
+            low = lows.get(u)
+            if low is None:
+                low = lows[u] = ctx._one(JetVar(u, (n - 1,)))
+            if top_o:
+                kept = odd ^ top_o
+                swaps = (kept & (low - 1)).bit_count() + (kept & (top_o - 1)).bit_count()
+                picks[(packed, kept | low)] = -c if swaps % 2 else c
+            else:
+                k = (packed >> (low.bit_length() - 1)) & full
+                picks[(packed - top_p + low, odd)] = _demote(Fraction(c, k + 1)) if k else c
+        if not picks:
+            break
+        rest = _derive(Expression(ctx, picks), 0, dict(rest) if rest is e.terms else rest)[None]
+        flux.update(picks)  # a pick of order n holds an (n-1)-jet, no later pick does
+        slots, bits, _ = _held(ctx, rest)
+        top = max((o for _, o, _ in slots + bits), default=0)
+        if top >= n:
+            break
+        n = top
+    return Expression(ctx, flux), e if rest is e.terms else Expression(ctx, rest)
 
 
 def _partials(e: Expression, owner: int, side: str) -> dict:

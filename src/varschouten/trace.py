@@ -230,17 +230,31 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             fresh = where[0] not in groups
             group_pieces = []
             group_total: dict = {}
-            # the inner bracket's product x * y, in argument order, does not
-            # depend on the outer block, so it is built once per group
-            inners: dict = {}
-            for sig_p, val_p in blocks(*spec.outer):
-                for ic, (sig_c, val_c) in enumerate(blocks(*spec.cofactor)):
-                    for ix, (cell, val_cell) in enumerate(cells(*spec.struck)):
-                        inner = inners.get((ic, ix))
-                        if inner is None:
-                            x, y = (val_cell, val_c) if target == 0 else (val_c, val_cell)
-                            inner = inners[ic, ix] = x * y
-                        raw = val_p * inner if sect.composite_second else inner * val_p
+            # A piece is the product of three factors in a fixed order, the
+            # outer block P and the inner bracket's x and y: P * x * y when the
+            # inner bracket is the second argument, x * y * P when it is the
+            # first.  One adjacent pair is multiplied first and memoized per
+            # group.  (ab)c multiplies about A*B term pairs before the last
+            # product and a(bc) B*C, so the pair away from the longer end
+            # factor goes first.  The cells are built only for a group that
+            # has pieces.
+            outer, cofactor = blocks(*spec.outer), blocks(*spec.cofactor)
+            factors = (outer, cofactor, cells(*spec.struck) if outer and cofactor else [])
+            xy = (2, 1) if target == 0 else (1, 2)  # factors[2] holds the cells
+            order = (0, *xy) if sect.composite_second else (*xy, 0)
+            ends = [sum(len(v.terms) for _, v in factors[f]) for f in (order[0], order[2])]
+            left = ends[0] <= ends[1]
+            heads: dict = {}
+            for ip, (sig_p, val_p) in enumerate(factors[0]):
+                for ic, (sig_c, val_c) in enumerate(factors[1]):
+                    for ix, (cell, val_cell) in enumerate(factors[2]):
+                        at, val = (ip, ic, ix), (val_p, val_c, val_cell)
+                        (i, a), (j, b), (k, c) = ((at[f], val[f]) for f in order)
+                        pair = (i, j) if left else (j, k)
+                        head = heads.get(pair)
+                        if head is None:
+                            head = heads[pair] = a * b if left else b * c
+                        raw = head * c if left else a * head
                         if raw.is_zero():
                             continue
                         signed = raw if spec.scalar > 0 else -raw

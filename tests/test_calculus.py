@@ -28,6 +28,7 @@ from varschouten import (
     total_derivative,
 )
 from varschouten.calculus import _partials
+from varschouten.core import MAX_POWER, _lower, eval_zero_section
 from varschouten.fuzz import FuzzParams, random_expression, random_functional, trial_seed
 
 
@@ -477,3 +478,128 @@ class TestCoefficients:
         assert _integral_fractions([q, exp(q), q.scale(Fraction(6, 3))]) == []
         (half,) = parse_density("3/6*q", ctx).terms.values()
         assert type(half) is Fraction and half == Fraction(1, 2)
+
+
+def _euler_only(e):
+    """The exactness test without lowering: every Euler derivative of e and
+    its zero-section value vanish (the reference the lowered test must
+    match)."""
+    for owner in range(len(e.ctx.names)):
+        if not euler(e, owner, "left").is_zero():
+            return False
+    try:
+        return eval_zero_section(e) == 0
+    except ValueError:
+        return False
+
+
+_LINE = "indep x\nfield q even antifield p\n"
+_PAIRS = "indep x\nfield u even antifield v\nfield a odd antifield b\n"
+_ODD = "indep t\nfield psi odd antifield chi\n"
+
+
+def _defects_in(text, max_jet_order, count):
+    """The Jacobi defects of the first `count` seed-2026 triples, each drawn
+    in a fresh context parsed from text."""
+    params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
+    out = []
+    for index in range(count):
+        ctx = parse_context(text)
+        rng = random.Random(trial_seed(params.seed, index))
+        F, G, H = (random_functional(ctx, rng, params, label) for label in "FGH")
+        out.append(jacobi_defect(F, G, H).density)
+    return out
+
+
+class TestLowering:
+    """core._lower integrates the top-order jets of a 1-D density by parts;
+    is_exact runs the Euler test on what it leaves."""
+
+    def _check(self, e):
+        flux, rest = _lower(e)
+        assert total_derivative(flux) + rest == e
+        assert not any(packed & e.ctx._guard for packed, _ in flux.terms)
+        return flux, rest
+
+    def test_identity_on_criterion_5_defects(self, ctx):
+        defects = _criterion_5_defects(ctx, 10)
+        rests = [self._check(d)[1] for d in defects]
+        # the heaviest defects leave few terms for the Euler test
+        assert len(defects[2].terms) > 1000 and len(rests[2].terms) < 100
+        for index in (1, 3, 8):
+            assert not defects[index].is_zero() and rests[index].is_zero()
+
+    @pytest.mark.parametrize("text", [_PAIRS, _ODD], ids=["pairs", "odd"])
+    @pytest.mark.parametrize("max_jet_order", [1, 2])
+    def test_identity_on_other_contexts(self, text, max_jet_order):
+        defects = _defects_in(text, max_jet_order, 8)
+        lowered = [self._check(d) for d in defects if not d.is_zero()]
+        assert any(flux.terms for flux, _ in lowered)
+
+    @pytest.mark.parametrize(
+        "text, density",
+        [
+            (_ODD, "psi * psi[1] * chi"),
+            (_ODD, "psi[1] * chi * psi"),
+            (_PAIRS, "a[1] * v * b[1]"),
+            (_PAIRS, "u[1]^2 * a * v[1] * b * a[1]"),
+        ],
+    )
+    def test_odd_picks_integrate_exactly(self, text, density):
+        # an odd u_n moves past the odd jets numbered between u_{n-1} and it
+        # (first use numbers psi[1], then psi, then D's psi[2]): a wrong sign
+        # leaves 2m behind
+        ctx = parse_context(text)
+        e = total_derivative(parse_density(density, ctx))
+        flux, rest = self._check(e)
+        assert not e.is_zero() and rest.is_zero()
+
+    def test_a_pick_holds_no_lower_jet_of_an_earlier_owner(self, ctx):
+        # q[1]*p[2] holds q[1], the (n-1)-jet of q, which order 2 lowers
+        # before p, so it stays: D of q[1]*p[1] takes only its own share
+        e = parse_density("q[2]*p[1] + 2*q[1]*p[2]", ctx)
+        flux, rest = self._check(e)
+        assert flux == parse_density("q[1]*p[1]", ctx)
+        assert rest == parse_density("q[1]*p[2]", ctx)
+
+    def test_input_is_not_edited(self, ctx):
+        e = _criterion_5_defects(ctx, 1)[0]
+        before = dict(e.terms)
+        flux, rest = _lower(e)
+        assert e.terms == before and rest.terms is not e.terms and flux.terms
+
+    def test_verdicts_match_the_euler_test(self):
+        # exact densities D(a) and perturbed ones D(a) + b, 600 in all
+        params = FuzzParams(seed=0, count=0, max_jet_order=2, max_degree=3)
+        verdicts = []
+        for text in (_LINE, _PAIRS, _ODD):
+            ctx = parse_context(text)
+            rng = random.Random(41)
+            for _ in range(100):
+                a, b = (random_expression(ctx, rng, params, rng.randint(0, 1)) for _ in "ab")
+                exact = total_derivative(a)
+                for e in (exact, exact + b):
+                    want = _euler_only(e)
+                    assert is_exact(e) is want
+                    verdicts.append(want)
+        assert len(verdicts) == 600
+        assert 300 <= verdicts.count(True) < 600 - 150
+
+    def test_powers_near_the_slot_limit(self, ctx):
+        q1, q2 = jet(ctx, "q", 1), jet(ctx, "q", 2)
+        # u_{n-1} at MAX_POWER stays in the remainder: raising it would carry
+        e = q1**MAX_POWER * q2
+        flux, rest = self._check(e)
+        assert rest == e and is_exact(e)
+        flux, rest = self._check(q1**5 * q2)
+        assert rest.is_zero() and flux == q1**6 * Fraction(1, 6)
+
+    def test_function_argument_powers_near_the_slot_limit(self):
+        # D of v[1] * exp(b^30000) * b^2769 holds b^32768, so the lowering
+        # leaves e whole and the Euler test refutes u[2]^2 as before
+        ctx = parse_context(_PAIRS)
+        e = parse_density("u[2]^2", ctx)
+        b = jet(ctx, "b")
+        e = e + exp(b**30000) * b**2769 * jet(ctx, "v", 2)
+        assert _lower(e)[1] is e
+        assert is_exact(e) is False

@@ -110,19 +110,17 @@ def is_exact(e: Expression) -> bool:
     """True iff e is a total divergence.
 
     Over base-coordinate-independent densities this is equivalent to all
-    Euler derivatives vanishing together with a zero constant part.  With
-    one independent coordinate the test runs on the remainder of
-    core._lower, which integrates the top-order jets by parts: e == D(flux)
-    + remainder, so the remainder has e's Euler derivatives and constant
-    part, and often far fewer terms.  The verdict does not change under a
-    nonzero scalar, so it is computed on the primitive part, whose
-    coefficients are coprime ints.
+    Euler derivatives vanishing together with a zero constant part.  The
+    test runs on the remainder of core._lower, which integrates the
+    top-order jets of a 1-D density by parts and otherwise leaves e whole:
+    e == D(flux) + remainder, so the remainder has e's Euler derivatives
+    and constant part, and often far fewer terms.  The verdict does not
+    change under a nonzero scalar, so it is computed on the primitive part,
+    whose coefficients are coprime ints.
     """
     if e.is_zero():
         return True
-    if e.ctx.n_indep == 1:
-        e = _lower(e)[1]
-    e = e.content_and_primitive()[1]
+    e = _lower(e)[1].content_and_primitive()[1]
     for owner in range(len(e.ctx.names)):
         if not euler(e, owner, "left").is_zero():
             return False

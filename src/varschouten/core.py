@@ -80,7 +80,8 @@ class FieldContext:
     Owners are numbered in declaration order: the k-th field is 2k and its
     antifield 2k+1, whose parity is the field parity flipped.  The
     context also owns the hash-cons table for function-factor arguments
-    (with the reach of each argument _lower has met), the
+    (with _arg_orders, aligned with _args: each argument's top jet order,
+    fixed when it is interned, after the arguments inside it), the
     numbering of packed monomial keys (a slot per even jet or function unit,
     a bit per odd jet), and the derivative cache of the Leibniz engine: the
     chain-rule summands of every derivation (a total derivative, or a sweep
@@ -117,12 +118,11 @@ class FieldContext:
             self.pairs.append((fi, ai))
         if not self.pairs:
             raise ValueError("at least one field/antifield pair is required")
-        # hash-cons storage for function-factor arguments, and the reach of
-        # each argument that _lower has met (_reach)
+        # hash-cons storage for function-factor arguments
         self._args: list[Expression] = []
         self._arg_keys: list[tuple] = []
+        self._arg_orders: list[int] = []
         self._arg_index: dict[tuple, int] = {}
-        self._arg_reach: dict[int, tuple[int, int]] = {}
         # Packed keys (see _one): the unit of each slot, the odd jet of each
         # bit, one power of each unit as a key part, the masks of each owner's
         # slots and of the function units' slots, and every slot's guard bit.
@@ -183,6 +183,7 @@ class FieldContext:
             idx = len(self._args)
             self._args.append(arg)
             self._arg_keys.append(key)
+            self._arg_orders.append(_top(*_held(self, arg.terms)))
             self._arg_index[key] = idx
         return idx
 
@@ -398,29 +399,12 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     return outs
 
 
-def _reach(ctx, aid: int) -> tuple[int, int]:
-    """(order, bound) of a function argument, memoized in ctx._arg_reach: its
-    highest jet order, and a bound on every power in a monomial of its total
-    derivative (the argument's highest power, plus one, plus the bound of
-    the function arguments inside it)."""
-    got = ctx._arg_reach.get(aid)
-    if got is None:
-        terms = ctx.arg(aid).terms
-        slots, bits, inner = _held(ctx, terms)
-        top = max(((p & m) >> (m.bit_length() - SLOT_BITS) for p, _ in terms for m, _, _ in slots),
-                  default=0)
-        order = max((o for _, o, _ in slots + bits), default=0)
-        got = ctx._arg_reach[aid] = (order, top + 1 + inner)
-    return got
-
-
-def _held(ctx, terms: dict) -> tuple[list, list, int]:
+def _held(ctx, terms: dict) -> tuple[list, list]:
     """The slots and the odd bits that the keys of terms hold, as (mask, order,
     owner): the slot's or bit's mask in its key part, its jet order and its
-    owner.  A function unit has owner None and its argument's order; the
-    largest bound of their arguments (_reach) comes third."""
+    owner.  A function unit has owner None and its argument's top order."""
     full = (1 << SLOT_BITS) - 1
-    packed = odd = bound = 0
+    packed = odd = 0
     for p, o in terms:
         packed |= p
         odd |= o
@@ -432,15 +416,18 @@ def _held(ctx, terms: dict) -> tuple[list, list, int]:
         if isinstance(unit, JetVar):
             slots.append((full << shift, unit.degree, unit.owner))
         else:
-            order, b = _reach(ctx, unit[1])
-            slots.append((full << shift, order, None))
-            bound = max(bound, b)
+            slots.append((full << shift, ctx._arg_orders[unit[1]], None))
     while odd:
         bit = odd & -odd
         odd ^= bit
         v = ctx._odd_jets[bit.bit_length() - 1]
         bits.append((bit, v.degree, v.owner))
-    return slots, bits, bound
+    return slots, bits
+
+
+def _top(slots: list, bits: list) -> int:
+    """The top jet order of what _held returns, function arguments included."""
+    return max((o for _, o, _ in slots + bits), default=0)
 
 
 def _lower(e: Expression) -> tuple[Expression, Expression]:
@@ -464,21 +451,19 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
     u's picks holds u_{n-1}, which the owners after u may not pick, so all
     owners pick from the remainder as the order began, and the remainder
     loses D of the order's picks in one _derive pass.  The pass stops after
-    the first order that leaves a monomial of that order.  So that D of the
-    flux carries into no guard bit, e is left whole when the total
-    derivative of a function argument in it may hold a power of
-    MAX_POWER // 2 or more.  e.terms is never edited.
+    the first order that leaves a monomial of that order.  e comes back
+    whole, with a zero flux, when it has more than one independent
+    coordinate or when a pass raises ValueError (a power past MAX_POWER).
+    e.terms is never edited.
     """
     ctx = e.ctx
     if ctx.n_indep != 1:
-        raise ValueError("lowering needs a single independent coordinate")
+        return Expression(ctx), e
     full = (1 << SLOT_BITS) - 1
     flux: dict = {}
     rest = e.terms
-    slots, bits, bound = _held(ctx, rest)
-    if bound >= MAX_POWER // 2:
-        return Expression(ctx), e
-    n = max((o for _, o, _ in slots + bits), default=0)
+    slots, bits = _held(ctx, rest)
+    n = _top(slots, bits)
     while n:
         # high: what no pick may hold beyond its u_n (any power past half a
         # slot included); low: the (n-1)-jets per owner; tops: each held u_n
@@ -534,10 +519,13 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
                 picks[(packed - top_p + low, odd)] = _demote(Fraction(c, k + 1)) if k else c
         if not picks:
             break
-        rest = _derive(Expression(ctx, picks), 0, dict(rest) if rest is e.terms else rest)[None]
+        try:
+            rest = _derive(Expression(ctx, picks), 0, dict(rest) if rest is e.terms else rest)[None]
+        except ValueError:  # a power past MAX_POWER; rest may be half edited
+            return Expression(ctx), e
         flux.update(picks)  # a pick of order n holds an (n-1)-jet, no later pick does
-        slots, bits, _ = _held(ctx, rest)
-        top = max((o for _, o, _ in slots + bits), default=0)
+        slots, bits = _held(ctx, rest)
+        top = _top(slots, bits)
         if top >= n:
             break
         n = top
@@ -642,7 +630,7 @@ class Expression:
         return seen.pop()
 
     def max_jet_order(self) -> int:
-        return max((v.degree for v in _jets(self)), default=0)
+        return _top(*_held(self.ctx, self.terms))
 
     # -- ring operations ----------------------------------------------------
 

@@ -603,3 +603,64 @@ class TestLowering:
         e = e + exp(b**30000) * b**2769 * jet(ctx, "v", 2)
         assert _lower(e)[1] is e
         assert is_exact(e) is False
+
+    def test_a_later_order_that_overflows_leaves_e_whole(self):
+        # order 3 lowers u[3]; order 2's pass, D of v[1]*exp(b^30000)*b^2769,
+        # raises after editing the remainder it took over, so none of it may
+        # come back
+        ctx = parse_context(_PAIRS)
+        b = jet(ctx, "b")
+        e = parse_density("u[3] + u[2]^2", ctx) + exp(b**30000) * b**2769 * jet(ctx, "v", 2)
+        before = dict(e.terms)
+        flux, rest = _lower(e)
+        assert flux.is_zero() and rest is e and e.terms == before
+        assert is_exact(e) is False
+
+    def test_a_plane_density_comes_back_whole(self):
+        ctx = parse_context("indep x y\nfield q even antifield p\n")
+        e = total_derivative(jet(ctx, "q", (1, 0)) * jet(ctx, "p"), 1)
+        flux, rest = _lower(e)
+        assert flux.is_zero() and rest is e
+        assert is_exact(e)
+
+    def test_an_argument_at_order_n_minus_1_blocks_the_pick(self, ctx):
+        # the argument of exp(q[1]) reaches order n-1, so nothing is picked:
+        # the table integral of exp(q[1])*q[2] is left to the Euler test
+        e = exp(jet(ctx, "q", 1)) * jet(ctx, "q", 2)
+        flux, rest = _lower(e)
+        assert flux.is_zero() and rest is e
+        assert is_exact(e)
+
+
+class TestArgumentOrders:
+    """FieldContext fixes each function argument's top jet order when it
+    interns it; max_jet_order reads those orders for function factors."""
+
+    def test_nested_arguments(self, ctx):
+        e = exp(sin(jet(ctx, "q", 2))) * jet(ctx, "q", 1)
+        assert e.max_jet_order() == 2
+        assert ctx._arg_orders == [2, 2]
+
+    @pytest.mark.parametrize(
+        "text", [_LINE, _PAIRS, "indep x y\nfield q even antifield p\n", _ODD],
+        ids=["default", "pairs", "plane", "odd"],
+    )
+    def test_agrees_with_the_jet_orders_of_every_owner(self, text):
+        ctx = parse_context(text)
+        params = FuzzParams(seed=0, count=0, max_jet_order=3, max_degree=3)
+        rng = random.Random(5)
+        even = [w for w, parity in enumerate(ctx.parities) if not parity]
+        for _ in range(60):
+            e = random_expression(ctx, rng, params, rng.randint(0, 1))
+            if rng.random() < 0.5:
+                inner = random_expression(ctx, rng, params, 0) + jet(ctx, rng.choice(even))
+                e = e * cos(exp(inner) * jet(ctx, rng.choice(even)))
+            assert e.max_jet_order() == _top_of_jet_orders(e)
+        assert len(ctx._arg_orders) == len(ctx._args) > 10
+        for arg, order in zip(ctx._args, ctx._arg_orders):
+            assert order == _top_of_jet_orders(arg)
+
+
+def _top_of_jet_orders(e):
+    """The top total order over jet_orders of every owner of e."""
+    return max((sum(o) for w in range(len(e.ctx.names)) for o in jet_orders(e, w)), default=0)

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from varschouten import (
     sin,
     total_derivative,
 )
-from varschouten.core import MAX_POWER, normalize_order, unpack
+from varschouten.core import FUNC_DERIVATIVE, MAX_POWER, _partials, normalize_order, unpack
 
 
 class TestFieldContext:
@@ -268,6 +269,97 @@ class TestPowerLimit:
         assert format_density(d) == (
             "16000*q^15999*q[1]*exp(q^16000) + 16000*q^31999*q[1]*exp(q^16000)"
         )
+
+    @pytest.mark.parametrize("op", ["product", "D", "sweep"])
+    def test_seeded_sweep_near_the_slot_limit(self, ctx, op):
+        # every result either raises or holds the exact power sums, with no
+        # guard bit set: a slot sum is at most 2*MAX_POWER + 1, so the guard
+        # bit catches every overflow before it can carry into the next slot
+        rng = random.Random(23)
+        raised = 0
+        for _ in range(150):
+            m = _draw_monomial(rng)
+            e = _build_monomial(ctx, m)
+            if op == "product":
+                m2 = _draw_monomial(rng)
+                summands = [(None, 1, m + m2)]
+                run = lambda: {None: (e * _build_monomial(ctx, m2)).terms}
+            elif op == "D":
+                summands = _summands(m, lambda k: (None, Counter({("q", k + 1): 1})))
+                run = lambda: {None: total_derivative(e).terms}
+            else:
+                summands = _summands(m, lambda k: (JetVar(0, (k,)), Counter()))
+                run = lambda: {v: d.terms for v, d in _partials(e, 0, "left").items()}
+            if max((p for _, _, s in summands for p in s.values()), default=0) > MAX_POWER:
+                with pytest.raises(ValueError, match="larger than"):
+                    run()
+                raised += 1
+                continue
+            want: dict = {}
+            for tag, c, s in summands:
+                terms = want.setdefault(tag, {})
+                terms[frozenset(s.items())] = terms.get(frozenset(s.items()), 0) + c
+            assert {tag: _decoded(ctx, terms) for tag, terms in run().items() if terms} == want
+        assert 20 < raised < 130
+
+
+# The monomials of the sweep above, as {unit: power}: jet units ("q", k) for
+# q[k], function units (kind, k, s) for kind(q[k]^s).
+_HALF = MAX_POWER // 2
+_POWERS = (1, 2, _HALF - 1, _HALF, _HALF + 1, MAX_POWER - 1, MAX_POWER)
+
+
+def _draw_monomial(rng) -> Counter:
+    m = Counter({("q", k): rng.choice((0, 0, *_POWERS)) for k in range(3)})
+    if rng.random() < 0.7:
+        m[(rng.choice(("exp", "sin", "cos")), rng.randrange(3), rng.choice(_POWERS))] = rng.choice(
+            _POWERS
+        )
+    return +m
+
+
+def _build_monomial(ctx, m: Counter) -> Expression:
+    e = Expression.const(ctx, 1)
+    for unit, p in m.items():
+        f = jet(ctx, "q", unit[1])
+        if unit[0] != "q":
+            f = {"exp": exp, "sin": sin, "cos": cos}[unit[0]](f ** unit[2])
+        e = e * f**p
+    return e
+
+
+def _summands(m: Counter, image) -> list:
+    """[(tag, coefficient, monomial)]: a derivation of m by the Leibniz and
+    chain rules, unmerged; image(k) is the tag and the factor that one power
+    of q[k] becomes."""
+    out = []
+    for unit, p in m.items():
+        rest = m - Counter({unit: 1})
+        if unit[0] == "q":
+            k, c = unit[1], p
+        else:
+            kind, k, s = unit
+            dkind, sign = FUNC_DERIVATIVE[kind]
+            rest += Counter({(dkind, k, s): 1, ("q", k): s - 1})
+            c = p * sign * s
+        tag, up = image(k)
+        out.append((tag, c, rest + up))
+    return out
+
+
+def _decoded(ctx, terms: dict) -> dict:
+    """terms with each key decoded into the units of _draw_monomial."""
+    out = {}
+    for key, c in terms.items():
+        assert not key[0] & ctx._guard
+        even, funcs, odd, sign = unpack(ctx, key)
+        assert not odd and sign == 1
+        m = {("q", v.order[0]): p for v, p in even}
+        for (kind, aid), p in funcs:
+            ((v, s),), _, _, _ = unpack(ctx, next(iter(ctx.arg(aid).terms)))
+            m[(kind, v.order[0], s)] = p
+        out[frozenset(m.items())] = c
+    return out
 
 
 class TestParity:

@@ -83,9 +83,11 @@ class FieldContext:
     (with _arg_orders, aligned with _args: each argument's top jet order,
     fixed when it is interned, after the arguments inside it), the
     numbering of packed monomial keys (a slot per even jet or function unit,
-    a bit per odd jet), and the derivative cache of the Leibniz engine: the
-    chain-rule summands of every derivation (a total derivative, or a sweep
-    of directed partials) on the function parts of monomial keys.
+    a bit per odd jet), and _derivs, the derivation table of the Leibniz
+    engine: per derivation op (a direction d for the total derivative D_d,
+    or (owner,) for a sweep of directed partials) three dicts, slot shift ->
+    image, odd bit -> image and function part -> chain-rule summands, each
+    filled once per context when _derive first meets its key.
     """
 
     def __init__(
@@ -131,11 +133,9 @@ class FieldContext:
         self._ones: dict = {}
         self._masks = dict.fromkeys([*range(len(self.names)), "funcs"], 0)
         self._guard = 0
-        # The derivative cache of _derive: (funcs, op) -> [(tag,
-        # delta, odd', coefficient)], the chain-rule summands of op (a
-        # direction d for D_d, or (owner,) for a sweep of left partials) on a
-        # function part.  Even and odd parts are differentiated in place.
-        self._func_derivs: dict[tuple, list] = {}
+        # The derivation table of _derive: op -> (slot shift -> (tag, delta),
+        # odd bit -> _image, function part -> _func_summands).
+        self._derivs: dict = {}
 
     def _add_owner(self, name: str, parity: int) -> int:
         idx = len(self.names)
@@ -183,7 +183,7 @@ class FieldContext:
             idx = len(self._args)
             self._args.append(arg)
             self._arg_keys.append(key)
-            self._arg_orders.append(_top(*_held(self, arg.terms)))
+            self._arg_orders.append(_top(_held(self, arg.terms)))
             self._arg_index[key] = idx
         return idx
 
@@ -331,23 +331,23 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     (packed, odd), each even jet the op acts on adds its slot's delta to
     packed, one power lowered and its image (see _image) raised.  Each odd
     jet moves to the left end, (-1)^(odd bits below it), and its image moves
-    back into place, (-1)^(odd bits below that).  The function part's
-    summands are cached per (part, op): parts repeat across nearly every
-    monomial.  Both derivations act from the left, so the function part,
-    which is even and stands left of the odd part, is crossed without a sign.
+    back into place, (-1)^(odd bits below that).  The images and the function
+    part's summands come from the context's table for op (ctx._derivs): jets
+    and parts repeat across nearly every monomial and call.  Both derivations
+    act from the left, so the function part, which is even and stands left of
+    the odd part, is crossed without a sign.
 
     Given a minuend (a term dict the call takes over), the tag None holds
     minuend - D_d e, built in the same pass.
     """
     ctx = e.ctx
-    func_derivs, fmask, guard = ctx._func_derivs, ctx._masks["funcs"], ctx._guard
+    slot_images, bit_images, func_derivs = ctx._derivs.setdefault(op, ({}, {}, {}))
+    fmask, guard = ctx._masks["funcs"], ctx._guard
     acts_on = ~fmask if isinstance(op, int) else ctx._masks[op[0]]
     outs: defaultdict = defaultdict(dict)
     negate = minuend is not None
     if negate:
         outs[None] = minuend
-    slot_images: dict = {}  # slot shift -> (tag, delta), built once per call
-    bit_images: dict = {}  # odd bit -> its _image
     for (packed, odd), coeff in e.terms.items():
         if negate:
             coeff = -coeff
@@ -363,9 +363,9 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
             _add_term(outs[image[0]], (packed + image[1], odd), coeff * p)
         funcs = packed & fmask
         if funcs:
-            got = func_derivs.get((funcs, op))
+            got = func_derivs.get(funcs)
             if got is None:
-                got = func_derivs[(funcs, op)] = _func_summands(ctx, funcs, op)
+                got = func_derivs[funcs] = _func_summands(ctx, funcs, op)
                 guard = ctx._guard
             for tag, delta, k_odd, c2 in got:
                 if k_odd & odd:
@@ -399,35 +399,27 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     return outs
 
 
-def _held(ctx, terms: dict) -> tuple[list, list]:
-    """The slots and the odd bits that the keys of terms hold, as (mask, order,
-    owner): the slot's or bit's mask in its key part, its jet order and its
-    owner.  A function unit has owner None and its argument's top order."""
-    full = (1 << SLOT_BITS) - 1
+def _held(ctx, terms: dict) -> list:
+    """Every unit that the keys of terms hold, as (slot mask, odd mask, order,
+    owner): an even jet or function unit has its slot's mask in packed and odd
+    mask 0, an odd jet slot mask 0 and its bit.  A function unit has owner
+    None and its argument's top jet order."""
     packed = odd = 0
     for p, o in terms:
         packed |= p
         odd |= o
-    slots, bits = [], []
-    while packed:
-        shift = (packed.bit_length() - 1) & -SLOT_BITS
-        packed &= ~(full << shift)
-        unit = ctx._units[shift // SLOT_BITS]
-        if isinstance(unit, JetVar):
-            slots.append((full << shift, unit.degree, unit.owner))
-        else:
-            slots.append((full << shift, ctx._arg_orders[unit[1]], None))
-    while odd:
-        bit = odd & -odd
-        odd ^= bit
-        v = ctx._odd_jets[bit.bit_length() - 1]
-        bits.append((bit, v.degree, v.owner))
-    return slots, bits
+    even, funcs, odds, _ = unpack(ctx, (packed, odd))
+    full, ones = (1 << SLOT_BITS) - 1, ctx._ones
+    return [
+        *((ones[v] * full, 0, v.degree, v.owner) for v, _ in even),
+        *((ones[f] * full, 0, ctx._arg_orders[f[1]], None) for f, _ in funcs),
+        *((0, ones[v], v.degree, v.owner) for v in odds),
+    ]
 
 
-def _top(slots: list, bits: list) -> int:
+def _top(units: list) -> int:
     """The top jet order of what _held returns, function arguments included."""
-    return max((o for _, o, _ in slots + bits), default=0)
+    return max((o for _, _, o, _ in units), default=0)
 
 
 def _lower(e: Expression) -> tuple[Expression, Expression]:
@@ -462,31 +454,24 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
     full = (1 << SLOT_BITS) - 1
     flux: dict = {}
     rest = e.terms
-    slots, bits = _held(ctx, rest)
-    n = _top(slots, bits)
+    units = _held(ctx, rest)
+    n = _top(units)
     while n:
         # high: what no pick may hold beyond its u_n (any power past half a
-        # slot included); low: the (n-1)-jets per owner; tops: each held u_n
+        # slot included); low: the (n-1)-jets per owner; tops: the owner of
+        # each held u_n by its key part, one power of it
         high_p, high_o = ctx._guard >> 1, 0
         low_p, low_o = [0] * len(ctx.names), [0] * len(ctx.names)
-        tops_p, tops_o = {}, {}
-        for m, o, w in slots:
-            if w is None:
-                if o >= n - 1:
-                    high_p |= m
-            elif o >= n:
-                high_p |= m
-                if o == n:
-                    tops_p[m & -m] = w
+        tops = {}
+        for mp, mo, o, w in units:
+            if o >= n or (w is None and o >= n - 1):
+                high_p |= mp
+                high_o |= mo
+                if o == n and w is not None:
+                    tops[(mp & -mp, mo)] = w
             elif o == n - 1:
-                low_p[w] |= m
-        for m, o, w in bits:
-            if o >= n:
-                high_o |= m
-                if o == n:
-                    tops_o[m] = w
-            elif o == n - 1:
-                low_o[w] |= m
+                low_p[w] |= mp
+                low_o[w] |= mo
         # a pick of u may hold no (n-1)-jet of an owner before u, nor u_{n-1}
         # when u is odd (an odd u's (n-1)-jet is an odd bit)
         guards, guard_p, guard_o = [], 0, 0
@@ -498,10 +483,7 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
         picks: dict = {}
         for (packed, odd), c in rest.items():
             top_p, top_o = packed & high_p, odd & high_o
-            if top_o:
-                u = None if top_p else tops_o.get(top_o)
-            else:
-                u = tops_p.get(top_p)
+            u = tops.get((top_p, top_o))
             if u is None:
                 continue
             guard_p, guard_o = guards[u]
@@ -524,8 +506,8 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
         except ValueError:  # a power past MAX_POWER; rest may be half edited
             return Expression(ctx), e
         flux.update(picks)  # a pick of order n holds an (n-1)-jet, no later pick does
-        slots, bits = _held(ctx, rest)
-        top = _top(slots, bits)
+        units = _held(ctx, rest)
+        top = _top(units)
         if top >= n:
             break
         n = top
@@ -630,7 +612,7 @@ class Expression:
         return seen.pop()
 
     def max_jet_order(self) -> int:
-        return _top(*_held(self.ctx, self.terms))
+        return _top(_held(self.ctx, self.terms))
 
     # -- ring operations ----------------------------------------------------
 

@@ -10,7 +10,7 @@ shifted: |[[F,G]]| = |F| + |G| + 1 mod 2.
 from __future__ import annotations
 
 from .calculus import euler
-from .core import Expression
+from .core import Expression, _accumulate
 from .functional import Functional, functional_parity
 
 
@@ -38,11 +38,10 @@ def schouten_bracket(F: Functional, G: Functional) -> Functional:
     functional_parity(G)
     if F.density.is_zero() or G.density.is_zero():
         return Functional(Expression.zero(ctx))
-    density = Expression.zero(ctx)
+    terms: dict = {}
     for _, _, first, second, sign in _faces(ctx):
-        term = euler(F.density, *first) * euler(G.density, *second)
-        density = density + term if sign > 0 else density - term
-    return Functional(density)
+        _accumulate(terms, euler(F.density, *first) * euler(G.density, *second), sign)
+    return Functional(Expression(ctx, terms))
 
 
 def eq1_sign(pF: int, pG: int) -> int:

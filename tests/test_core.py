@@ -1,10 +1,12 @@
 """Graded expression arithmetic, contexts, and canonical forms."""
 
+import ast
 import copy
 import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,11 +26,13 @@ from varschouten import (
     jet_orders,
     parse_context,
     parse_density,
+    partial,
     reorder_sign_ledger,
     scale_add,
     sin,
     total_derivative,
 )
+from varschouten import core
 from varschouten.core import FUNC_DERIVATIVE, MAX_POWER, _partials, normalize_order, unpack
 
 
@@ -530,3 +534,45 @@ class TestInsertUnit:
         assert Counter(dict(even + funcs)) + Counter(odd) == Counter(dict(units)) + Counter([atom])
         assert all(ctx.parities[v.owner] for v in odd)
         assert all(not ctx.parities[v.owner] for v, _ in even)
+
+
+class TestDerivationTable:
+    """The context keeps the Leibniz engine's images and chain-rule summands
+    per derivation, and no other module reads its private state."""
+
+    def test_images_outlive_a_call(self, ctx, monkeypatch):
+        met = []
+
+        def image(ctx, jv, op):
+            met.append((jv, op))
+            return real(ctx, jv, op)
+
+        real = core._image
+        monkeypatch.setattr(core, "_image", image)
+        q1 = JetVar(ctx.owner("q"), (1,))
+        first = parse_density("q[1]^2*p + exp(q)*p[2]", ctx)
+        total_derivative(first)
+        partial(first, q1)
+        before = set(met)
+        assert len(before) == len(met)
+        del met[:]
+        second = parse_density("q[1]*p[1]*q[3] + exp(q)*q*p", ctx)
+        total_derivative(second)
+        partial(second, q1)
+        # only the units the first calls did not meet, each once
+        assert met and len(set(met)) == len(met) and not before & set(met)
+        assert set(ctx._derivs) == {0, (ctx.owner("q"),)}
+
+    def test_no_other_module_reads_private_context_state(self):
+        private = {n for n in vars(FieldContext(("x",), [("q", "p", 0)])) if n.startswith("_")}
+        assert "_derivs" in private
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            if path.name == "core.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            reads = [
+                f"{path.name}:{node.lineno} .{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in private
+            ]
+            assert not reads

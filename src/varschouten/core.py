@@ -24,9 +24,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import or_
 from typing import Iterable, NamedTuple, Sequence, Union
 
 Order = tuple[int, ...]
@@ -250,12 +248,12 @@ def _crossings(a: int, b: int) -> int:
     return n
 
 
-def _check_powers(ctx: FieldContext, out, *inputs) -> None:
-    """Raise ValueError when a key of out has a power past MAX_POWER; out is
-    read only when a power in the inputs reaches half a slot."""
+def _check_powers(ctx: FieldContext, out) -> None:
+    """Raise ValueError when a key of out has a power past MAX_POWER.  Two
+    powers below half a slot sum below its guard bit, so callers pass out
+    only when the OR of their inputs' packed parts, folded into the loops
+    that read the inputs, meets the half-slot bits ctx._guard >> 1."""
     top = ctx._guard
-    if inputs and not reduce(or_, (k[0] for keys in inputs for k in keys), 0) & top >> 1:
-        return
     for packed, _ in out:
         if packed & top:
             raise ValueError(f"a power in a monomial is larger than {MAX_POWER}")
@@ -348,7 +346,9 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     negate = minuend is not None
     if negate:
         outs[None] = minuend
+    held = 0  # the OR of the packed parts of e (see _check_powers)
     for (packed, odd), coeff in e.terms.items():
+        held |= packed
         if negate:
             coeff = -coeff
         x = packed & acts_on
@@ -395,7 +395,8 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
                 swaps += (rest & (up - 1)).bit_count()
                 rest |= up
             _add_term(outs[tag], (packed, rest), -coeff if swaps % 2 else coeff)
-    _check_powers(ctx, (key for terms in outs.values() for key in terms), e.terms)
+    if held & ctx._guard >> 1:
+        _check_powers(ctx, (key for terms in outs.values() for key in terms))
     return outs
 
 
@@ -665,7 +666,9 @@ class Expression:
             return NotImplemented
         self._require_same_ctx(other)
         out: dict = {}
+        held = 0  # the OR of the packed parts of both operands (see _check_powers)
         for (p1, o1), c1 in self.terms.items():
+            held |= p1
             for (p2, o2), c2 in other.terms.items():
                 if o1 & o2:
                     continue
@@ -673,7 +676,10 @@ class Expression:
                 if o1 and o2 and _crossings(o1, o2) % 2:
                     c = -c
                 _add_term(out, (p1 + p2, o1 | o2), c)
-        _check_powers(self.ctx, out, self.terms, other.terms)
+        for p2, _ in other.terms:
+            held |= p2
+        if held & self.ctx._guard >> 1:
+            _check_powers(self.ctx, out)
         return Expression(self.ctx, out)
 
     __rmul__ = __mul__  # int * e or Fraction * e: a rational scalar commutes

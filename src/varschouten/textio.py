@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, islice
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -316,77 +317,98 @@ def _jet_name(ctx: FieldContext, v: JetVar) -> str:
     return f"{name}[{','.join(str(k) for k in v.order)}]"
 
 
-def _coeff_text(c) -> str:
-    """Decimal text of an int or Fraction coefficient, at most MAX_DIGITS digits
-    in its numerator and in its denominator."""
-    if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
+def _coeff_text(c, sign: int, frac: str = "%d/%d") -> tuple[str, str]:
+    """("-" or "", magnitude text) of sign * c, for an int or Fraction c and a
+    sign +-1, read from the int or from numerator and denominator with no
+    Fraction arithmetic; a fraction fills in frac.  At most MAX_DIGITS digits
+    in the numerator and in the denominator."""
+    n, d = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+    if n < 0:
+        n, sign = -n, -sign
+    if n >= _DIGITS_BOUND or d >= _DIGITS_BOUND:
         raise ValueError(f"a coefficient has more than {MAX_DIGITS} digits")
-    return str(c)
+    return "-" if sign < 0 else "", str(n) if d == 1 else frac % (n, d)
 
 
-def _rows(e: Expression, memo: dict, factors) -> list:
-    """(sort key, canonical coefficient, factors) per monomial of e, in display order.
+class _Output:
+    """The memo of one output (a format_density or format_trace_report call):
+    rows maps each monomial key, decoded once, to `factors(ctx, even, funcs,
+    odd, self)` and its sign (see unpack), rank to its place in the order of
+    every key decoded so far by structural key (structure), and args maps
+    each function-argument id to the output's form of the argument."""
 
-    memo is shared by every density of one output: it maps each monomial key,
-    decoded once, to its sort key, `factors(ctx, even, funcs, odd, memo)` and
-    sign (see unpack), and each arg id to the output's form of the argument.
-    """
-    ctx = e.ctx
-    rows = []
-    for key, coeff in e.terms.items():
-        row = memo.get(key)
-        if row is None:
-            even, funcs, odd, sign = unpack(ctx, key)
-            row = memo[key] = (
-                (even, _structural_funcs(ctx, funcs), odd),
-                factors(ctx, even, funcs, odd, memo),
-                sign,
-            )
-        rows.append((row[0], coeff if row[2] > 0 else -coeff, row[1]))
-    rows.sort(key=lambda r: r[0])
-    return rows
+    __slots__ = ("factors", "rows", "structure", "rank", "args")
+
+    def __init__(self, factors) -> None:
+        self.factors = factors
+        self.rows, self.structure, self.rank, self.args = {}, {}, {}, {}
+
+    def decode(self, ctx: FieldContext, keys) -> None:
+        """Decode each key of keys not yet decoded, then re-rank the union.
+        A factor may render a function argument, whose keys a nested call
+        ranks with those decoded so far: the ranked keys lead rows."""
+        rows, structure = self.rows, self.structure
+        for key in keys:
+            if key not in rows:
+                even, funcs, odd, sign = unpack(ctx, key)
+                structure[key] = (even, _structural_funcs(ctx, funcs), odd)
+                rows[key] = (self.factors(ctx, even, funcs, odd, self), sign)
+        if len(rows) > len(self.rank):
+            # rank lists its keys in order: the sort merges the new keys in
+            order = [*self.rank, *islice(rows, len(self.rank), None)]
+            order.sort(key=structure.__getitem__)
+            self.rank = dict(zip(order, range(len(order))))
 
 
-def _arg_text(ctx: FieldContext, aid: int, memo: dict, render) -> str:
+def _rows(e: Expression, out: _Output) -> list:
+    """((factors, sign), coefficient) per monomial of e, in display order: the
+    keys out has not met are decoded and ranked first (see _Output), so the
+    sort compares int ranks only."""
+    terms = e.terms
+    if not terms.keys() <= out.rank.keys():
+        out.decode(e.ctx, terms)
+    rows = out.rows
+    return [(rows[key], terms[key]) for key in sorted(terms, key=out.rank.__getitem__)]
+
+
+def _arg_text(ctx: FieldContext, aid: int, out: _Output, render) -> str:
     """The text of a function argument as `render` writes it, once per output."""
-    text = memo.get(aid)
+    text = out.args.get(aid)
     if text is None:
-        text = memo[aid] = render(ctx.arg(aid), memo)
+        text = out.args[aid] = render(ctx.arg(aid), out)
     return text
 
 
-def _signed_sum(rows: list, coeff_text, sep: str) -> str:
+def _signed_sum(rows: list, sep: str, frac: str) -> str:
     """Join rows of _rows as a signed sum; a coefficient of magnitude one is
-    written only when there are no factors."""
+    written only when there are no factors.  Each row's sign and magnitude
+    text come from _coeff_text, a fraction written as frac."""
     chunks = []
-    for _, coeff, factors in rows:
-        magnitude = abs(coeff)
-        if magnitude != 1 or not factors:
-            body = coeff_text(magnitude) + (sep + factors if factors else "")
+    for (factors, sign), coeff in rows:
+        minus, digits = _coeff_text(coeff, sign, frac)
+        if digits != "1" or not factors:
+            body = digits + sep + factors if factors else digits
         else:
             body = factors
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if coeff > 0 else f" - {body}")
+        chunks.append((" - " if minus else " + ") + body if chunks else minus + body)
     return "".join(chunks) or "0"
 
 
-def _plain_factors(ctx: FieldContext, even, funcs, odd, memo: dict) -> str:
+def _plain_factors(ctx: FieldContext, even, funcs, odd, out: _Output) -> str:
     parts = []
     for v, power in even:
         text = _jet_name(ctx, v)
         parts.append(text if power == 1 else f"{text}^{power}")
     for (kind, aid), power in funcs:
-        text = f"{kind}({_arg_text(ctx, aid, memo, _plain)})"
+        text = f"{kind}({_arg_text(ctx, aid, out, _plain)})"
         parts.append(text if power == 1 else f"{text}^{power}")
     parts.extend(_jet_name(ctx, v) for v in odd)
     return "*".join(parts)
 
 
-def _plain(e: Expression, memo: dict) -> str:
-    """Plain text of a density; `memo` is that of one output (see _rows)."""
-    return _signed_sum(_rows(e, memo, _plain_factors), _coeff_text, "*")
+def _plain(e: Expression, out: _Output) -> str:
+    """Plain text of a density, in the output out."""
+    return _signed_sum(_rows(e, out), "*", "%d/%d")
 
 
 def _latex_jet(ctx: FieldContext, v: JetVar) -> str:
@@ -408,10 +430,10 @@ def _latex_power(base: str, power: int) -> str:
     return base + "^{" + str(power) + "}"
 
 
-def _latex_factors(ctx: FieldContext, even, funcs, odd, memo: dict) -> str:
+def _latex_factors(ctx: FieldContext, even, funcs, odd, out: _Output) -> str:
     parts = [_latex_power(_latex_jet(ctx, v), power) for v, power in even]
     for (kind, aid), power in funcs:
-        arg = _arg_text(ctx, aid, memo, _latex)
+        arg = _arg_text(ctx, aid, out, _latex)
         if kind == "exp":
             parts.append(_latex_power("e^{" + arg + "}", power))
         elif power == 1:
@@ -422,17 +444,12 @@ def _latex_factors(ctx: FieldContext, even, funcs, odd, memo: dict) -> str:
     return " ".join(parts)
 
 
-def _latex_coeff(c) -> str:
-    num, _, den = _coeff_text(c).partition("/")
-    return "\\frac{" + num + "}{" + den + "}" if den else num
+def _latex(e: Expression, out: _Output) -> str:
+    """LaTeX of a density, in the output out."""
+    return _signed_sum(_rows(e, out), " ", "\\frac{%d}{%d}")
 
 
-def _latex(e: Expression, memo: dict) -> str:
-    """LaTeX of a density; `memo` is that of one output (see _rows)."""
-    return _signed_sum(_rows(e, memo, _latex_factors), _latex_coeff, " ")
-
-
-def _json_factors(ctx: FieldContext, even, funcs, odd, memo: dict) -> tuple:
+def _json_factors(ctx: FieldContext, even, funcs, odd, out: _Output) -> tuple:
     names = [(_jet_name(ctx, v), power) for v, power in even]
     return names, funcs, [_jet_name(ctx, v) for v in odd]
 
@@ -444,26 +461,26 @@ def density_to_json(e: Expression) -> dict:
     result is independent of the context's interning history.
     """
     ctx = e.ctx
-    memo: dict = {}  # see _rows; an arg id maps to its renumbered id
+    out = _Output(_json_factors)  # an arg id maps to its renumbered id
     queue: list[int] = []  # arg ids by renumbered id
 
     def arg_id(aid: int) -> int:
-        if aid not in memo:
-            memo[aid] = len(queue)
+        if aid not in out.args:
+            out.args[aid] = len(queue)
             queue.append(aid)
-        return memo[aid]
+        return out.args[aid]
 
     def encode(x: Expression) -> dict:
         # ids are given in display order; every row gets lists of its own
         return {
             "monomials": [
                 {
-                    "coeff": _coeff_text(coeff),
+                    "coeff": "".join(_coeff_text(coeff, sign)),
                     "even": [list(u) for u in even],
                     "funcs": [[kind, arg_id(aid), power] for (kind, aid), power in funcs],
                     "odd": list(odd),
                 }
-                for _, coeff, (even, funcs, odd) in _rows(x, memo, _json_factors)
+                for ((even, funcs, odd), sign), coeff in _rows(x, out)
             ]
         }
 
@@ -480,11 +497,11 @@ def _dumps(obj) -> str:
 def format_density(e: Expression, style: str = "plain") -> str:
     """Render a density as canonical text: "plain", "json", or "latex"."""
     if style == "plain":
-        return _plain(e, {})
+        return _plain(e, _Output(_plain_factors))
     if style == "json":
         return _dumps(density_to_json(e))
     if style == "latex":
-        return _latex(e, {})
+        return _latex(e, _Output(_latex_factors))
     raise ValueError(f"unknown format {style!r}")
 
 
@@ -497,17 +514,23 @@ def format_density(e: Expression, style: str = "plain") -> str:
 _SECTIONS = ("lhs", "rhs1", "rhs2")
 
 
-def _report_renderer():
+def _report_renderer(report):
     """Plain text of the densities of one trace report, rendered once per
     object, as paired pieces and groups share density objects (expand_trace).
-    The report keeps every object alive, so no id is reused meanwhile."""
-    memo: dict = {}  # shared by every density of the report (see _rows)
-    texts: dict = {}  # id(density) -> text; apart from memo, whose keys are ints too
+    The report keeps every object alive, so no id is reused meanwhile.  The
+    distinct keys of all its densities are decoded and ranked first, at once."""
+    densities = [report.residue, *(getattr(report, name + "_total") for name in _SECTIONS)]
+    for name in _SECTIONS:
+        for kind in ("_terms", "_groups"):
+            densities += (x.density for x in getattr(report, name + kind))
+    out = _Output(_plain_factors)
+    out.decode(report.residue.ctx, dict.fromkeys(chain.from_iterable(e.terms for e in densities)))
+    texts: dict = {}  # id(density) -> text
 
     def render(e: Expression) -> str:
         text = texts.get(id(e))
         if text is None:
-            text = texts[id(e)] = _plain(e, memo)
+            text = texts[id(e)] = _plain(e, out)
         return text
 
     return render
@@ -517,7 +540,7 @@ def _report_data(report) -> dict:
     """The trace report as plain data for json.dumps.  A piece or group row
     holds every field of its TraceTerm or TraceGroup but the section, which
     its place gives: the density as plain text, a group's pieces as labels."""
-    render = _report_renderer()
+    render = _report_renderer(report)
 
     def row(obj, **extra) -> dict:
         data = dict(obj.__dict__, density=render(obj.density), **extra)
@@ -558,7 +581,7 @@ def format_trace_report(report, style: str = "plain") -> str:
         return _dumps(_report_data(report))
     if style != "plain":
         raise ValueError(f"unknown format {style!r}")
-    render = _report_renderer()
+    render = _report_renderer(report)
     p = report.parities
     lines = [
         "shifted-graded Jacobi trace",

@@ -33,6 +33,13 @@ GOLDEN_F = "p * q * q[2]"
 GOLDEN_G = "p[1] * exp(q[1])"
 GOLDEN_H = "p[2] * cos(q)"
 PLANE = "indep x y\nfield q even antifield p\n"
+# trace options whose report scales by a content past MAX_DIGITS digits: an
+# int with 6,000 digits, and 1 over an int with 6,000
+_BIG_INT_TRIPLE = ["--F", "9" * 3000 + "*p*q", "--G", "9" * 3000 + "*p*q", "--H", "p*q"]
+_SEVENTHS = "1/" + "7" * 2000
+_TINY_FRACTION_TRIPLE = [
+    "--F", _SEVENTHS + "*p*q*q[1]", "--G", _SEVENTHS + "*p*q[2]", "--H", _SEVENTHS + "*p[1]*q"
+]
 
 
 def run(argv, capsys):
@@ -474,8 +481,14 @@ class TestErrorHandling:
             ["normalize", "--density", "7" * 5000],
             ["normalize", "--density", "99999999999^1000"],
             ["bracket", "--F", "9" * 3000 + "*p*q*q", "--G", "9" * 3000 + "*p*q"],
+            # a trace report prints its densities scaled by the triple's content
+            ["trace", *_BIG_INT_TRIPLE],
+            ["trace", *_BIG_INT_TRIPLE, "--format", "json"],
+            ["trace", *_TINY_FRACTION_TRIPLE],
+            ["trace", *_TINY_FRACTION_TRIPLE, "--format", "json"],
         ],
-        ids=["literal", "power", "product"],
+        ids=["literal", "power", "product", "trace-int", "trace-int-json", "trace-fraction",
+             "trace-fraction-json"],
     )
     def test_number_past_the_digit_limit_exits_2(self, capsys, argv):
         code, out, err = run(argv, capsys)

@@ -19,7 +19,8 @@ from varschouten import (
     trace,
 )
 from varschouten.fuzz import FuzzParams, random_functional, trial_seed
-from varschouten.core import Expression
+from varschouten import textio
+from varschouten.core import Expression, unpack
 from varschouten.textio import format_density, format_trace_report, trace_report_to_json
 
 
@@ -390,6 +391,45 @@ def _assert_each_density_renders_as_alone(rep):
     pieces = [line for line in plain if line.startswith("  <")]
     terms = rep.lhs_terms + rep.rhs1_terms + rep.rhs2_terms
     assert [line.split("  ", 2)[2] for line in pieces] == [format_density(t.density) for t in terms]
+
+
+@pytest.mark.parametrize("style", ["plain", "json"])
+@pytest.mark.parametrize(
+    "text, max_jet_order",
+    [
+        ("indep x\nfield q even antifield p\n", 2),
+        ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 1),
+    ],
+    ids=["default", "pairs"],
+)
+def test_a_report_decodes_each_distinct_key_once(monkeypatch, text, max_jet_order, style):
+    # every key of the report's densities, and of the function arguments
+    # their factors render (arguments inside arguments too), is decoded once
+    ctx = parse_context(text)
+    rng = random.Random(trial_seed(2026, 1))
+    params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
+    rep = expand_trace(*(random_functional(ctx, rng, params, r) for r in "FGH"))
+    keys, args = set(), set()
+    todo = [e.terms for e in _report_densities(rep)]
+    while todo:
+        for key in todo.pop():
+            if key not in keys:
+                keys.add(key)
+                for (_, aid), _ in unpack(ctx, key)[1]:
+                    if aid not in args:
+                        args.add(aid)
+                        todo.append(ctx.arg(aid).terms)
+    assert args  # the trial's factors include function arguments
+    decoded = []
+
+    def counting(ctx, key):
+        decoded.append(key)
+        return unpack(ctx, key)
+
+    monkeypatch.setattr(textio, "unpack", counting)
+    format_trace_report(rep, style)
+    assert len(decoded) == len(keys)
+    assert set(decoded) == keys
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,11 @@ from typing import Union
 from .core import (
     Expression,
     JetVar,
+    _along,
     _derive,
     _lower,
     _partials,
+    _sweep,
     eval_zero_section,
     normalize_order,
 )
@@ -29,12 +31,13 @@ def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
 
     For odd v the variable is transported to the leftmost position of each
     monomial, collecting (-1) per odd transposition, then struck; the right
-    partial differs from that by a sign per monomial (see _partials).  Even v
-    uses the ordinary power rule.  Function factors differentiate by the
+    partial differs from that by a sign per monomial (see core._right).  Even
+    v uses the ordinary power rule.  Function factors differentiate by the
     chain rule through their arguments.
     """
-    v = JetVar(e.ctx.owner(v.owner), normalize_order(e.ctx, v.order))
-    return _partials(e, v.owner, side).get(v) or Expression.zero(e.ctx)
+    ctx = e.ctx
+    v = JetVar(ctx.owner(v.owner), normalize_order(ctx, v.order))
+    return _partials(e, v.owner, side).get(v) or Expression.zero(ctx)
 
 
 def total_derivative(e: Expression, direction: int = 0) -> Expression:
@@ -62,8 +65,13 @@ def euler_blocks(
     Returns (sigma, block) pairs with nonzero blocks, sigma ascending in
     graded-lexicographic order.  Their sum is euler(e, ref, side).
     """
+    return _blocks(_partials(e, e.ctx.owner(ref), side))
+
+
+def _blocks(partials: dict) -> list[tuple[tuple, Expression]]:
+    """The Euler blocks of one owner's partials {v: d e / dv} (see euler_blocks)."""
     blocks = []
-    for v, d in _partials(e, e.ctx.owner(ref), side).items():
+    for v, d in partials.items():
         block = iterated_derivative(d, v.order)
         if v.degree % 2:
             block = -block
@@ -97,17 +105,35 @@ def euler(e: Expression, ref: Union[int, str], side: Side = "left") -> Expressio
     """Directed Euler (variational) derivative with respect to an owner.
 
     Same value as summing euler_blocks, computed with far fewer total
-    derivatives via a nested alternating fold.
+    derivatives via a nested alternating fold.  Functional.euler keeps a
+    functional's derivatives along every owner, from one sweep.
     """
-    ctx = e.ctx
-    pmap = {v.order: d for v, d in _partials(e, ctx.owner(ref), side).items()}
-    if not pmap:
+    return _euler(e.ctx, _partials(e, e.ctx.owner(ref), side))
+
+
+def _euler(ctx, partials: dict) -> Expression:
+    """The Euler derivative from one owner's partials {v: d e / dv}."""
+    if not partials:
         return Expression.zero(ctx)
-    return _alternating_total(ctx, pmap, 0)
+    return _alternating_total(ctx, {v.order: d for v, d in partials.items()}, 0)
+
+
+def _left_eulers(e: Expression):
+    """Every owner's left Euler derivative of e in owner order, from one
+    sweep of its partials, each computed when the caller asks for it."""
+    swept = _sweep(e)
+    for owner in range(len(e.ctx.names)):
+        yield _euler(e.ctx, _along(e.ctx, swept, owner, "left"))
 
 
 def is_exact(e: Expression) -> bool:
-    """True iff e is a total divergence.
+    """True iff e is a total divergence in the free differential algebra.
+
+    exp, sin and cos are free symbols of their arguments there, tied to them
+    only by the chain rule: no identity between them is applied, so a
+    density that vanishes only through such an identity, such as
+    exp(q)*exp(q) - exp(2*q) or sin(2*q) - 2*sin(q)*cos(q), is not exact.
+    An exact density is exact as a function as well.
 
     Over base-coordinate-independent densities this is equivalent to all
     Euler derivatives vanishing together with a zero constant part.  The
@@ -116,14 +142,15 @@ def is_exact(e: Expression) -> bool:
     e == D(flux) + remainder, so the remainder has e's Euler derivatives
     and constant part, and often far fewer terms.  The verdict does not
     change under a nonzero scalar, so it is computed on the primitive part,
-    whose coefficients are coprime ints.
+    whose coefficients are coprime ints.  One sweep gives every owner's
+    partials; the owners' Euler derivatives are folded in order, up to the
+    first that is nonzero.
     """
     if e.is_zero():
         return True
     e = _lower(e)[1].content_and_primitive()[1]
-    for owner in range(len(e.ctx.names)):
-        if not euler(e, owner, "left").is_zero():
-            return False
+    if any(not d.is_zero() for d in _left_eulers(e)):
+        return False
     try:
         return eval_zero_section(e) == 0
     except ValueError:

@@ -83,9 +83,9 @@ class FieldContext:
     numbering of packed monomial keys (a slot per even jet or function unit,
     a bit per odd jet), and _derivs, the derivation table of the Leibniz
     engine: per derivation op (a direction d for the total derivative D_d,
-    or (owner,) for a sweep of directed partials) three dicts, slot shift ->
-    image, odd bit -> image and function part -> chain-rule summands, each
-    filled once per context when _derive first meets its key.
+    or _SWEEP for the one sweep of every owner's left partials) three dicts,
+    slot shift -> image, odd bit -> image and function part -> chain-rule
+    summands, each filled once per context when _derive first meets its key.
     """
 
     def __init__(
@@ -124,12 +124,12 @@ class FieldContext:
         self._arg_orders: list[int] = []
         self._arg_index: dict[tuple, int] = {}
         # Packed keys (see _one): the unit of each slot, the odd jet of each
-        # bit, one power of each unit as a key part, the masks of each owner's
-        # slots and of the function units' slots, and every slot's guard bit.
+        # bit, one power of each unit as a key part, the mask of the function
+        # units' slots, and every slot's guard bit.
         self._units: list = []
         self._odd_jets: list[JetVar] = []
         self._ones: dict = {}
-        self._masks = dict.fromkeys([*range(len(self.names)), "funcs"], 0)
+        self._funcs = 0
         self._guard = 0
         # The derivation table of _derive: op -> (slot shift -> (tag, delta),
         # odd bit -> _image, function part -> _func_summands).
@@ -205,8 +205,8 @@ class FieldContext:
             one = self._ones[unit] = 1 << (SLOT_BITS * len(self._units))
             self._units.append(unit)
             self._guard |= one << (SLOT_BITS - 1)
-            owner = unit.owner if isinstance(unit, JetVar) else "funcs"
-            self._masks[owner] |= one * ((1 << SLOT_BITS) - 1)
+            if not isinstance(unit, JetVar):
+                self._funcs |= one * ((1 << SLOT_BITS) - 1)
         return one
 
 
@@ -224,7 +224,7 @@ def _check_name(name: str) -> None:
 # order (FieldContext._one).  packed has a SLOT_BITS-wide slot per even jet or
 # function unit (kind, arg_id), holding its power: powers commute, so a
 # product of even parts is their sum, and every slot's top bit stays clear,
-# so that a sum cannot carry into the next slot (_check_powers).  odd is a
+# so that a sum cannot carry into the next slot (_overflows).  odd is a
 # bitmask of the odd jets; the coefficient is that of their product in bit
 # order, a product of odd parts a, b is zero when a & b and otherwise has the
 # sign (-1)^_crossings(a, b).  No fixed numbering follows the canonical
@@ -232,10 +232,16 @@ def _check_name(name: str) -> None:
 # turns a stored coefficient into that of the canonical product, and orders
 # function units by argument structure, not by history-dependent arg ids.
 # _derive, the Leibniz engine, edits keys in one pass for D_d and for the
-# sweep of directed partials; calculus builds the Euler operators on it.
+# sweep of every owner's directed partials; calculus builds the Euler operators
+# on it.
 # ---------------------------------------------------------------------------
 
 _EMPTY_KEY = (0, 0)
+
+#: the derivation op of the sweep of every owner's left partials (_derive)
+_SWEEP = "sweep"
+
+_TOO_LARGE = f"a power in a monomial is larger than {MAX_POWER}"
 
 
 def _crossings(a: int, b: int) -> int:
@@ -248,15 +254,13 @@ def _crossings(a: int, b: int) -> int:
     return n
 
 
-def _check_powers(ctx: FieldContext, out) -> None:
-    """Raise ValueError when a key of out has a power past MAX_POWER.  Two
-    powers below half a slot sum below its guard bit, so callers pass out
-    only when the OR of their inputs' packed parts, folded into the loops
-    that read the inputs, meets the half-slot bits ctx._guard >> 1."""
+def _overflows(ctx: FieldContext, keys) -> bool:
+    """True when a key of keys has a power past MAX_POWER.  Two powers below
+    half a slot sum below its guard bit, so callers pass keys only when the
+    OR of their inputs' packed parts, folded into the loops that read the
+    inputs, meets the half-slot bits ctx._guard >> 1."""
     top = ctx._guard
-    for packed, _ in out:
-        if packed & top:
-            raise ValueError(f"a power in a monomial is larger than {MAX_POWER}")
+    return any(packed & top for packed, _ in keys)
 
 
 def unpack(ctx: FieldContext, key: tuple) -> tuple:
@@ -291,14 +295,13 @@ def unpack(ctx: FieldContext, key: tuple) -> tuple:
 def _image(ctx, jv: JetVar, op):
     """The image of one jet under the derivation op, as (tag, key part or 0).
 
-    D along direction op (an int) raises every jet: (None, raised jet).  The
-    sweep op = (owner,) strikes each jet of the owner, (jet, 0), and kills
-    every other jet: the falsy ().
+    D along direction op raises the jet: (None, raised jet).  The sweep
+    strikes it and tags the summand by the struck jet: (jv, 0).
     """
-    if isinstance(op, int):
-        order = jv.order
-        return None, ctx._one(JetVar(jv.owner, order[:op] + (order[op] + 1,) + order[op + 1 :]))
-    return (jv, 0) if jv.owner == op[0] else ()
+    if op == _SWEEP:
+        return jv, 0
+    order = jv.order
+    return None, ctx._one(JetVar(jv.owner, order[:op] + (order[op] + 1,) + order[op + 1 :]))
 
 
 def _func_summands(ctx, funcs: int, op) -> list:
@@ -308,13 +311,18 @@ def _func_summands(ctx, funcs: int, op) -> list:
     derivative of arg, placed in front of the rest of the monomial: for a
     monomial (packed, odd) with this function part the summand's key is
     (packed + delta, odd' * odd), and its coefficient is c times the
-    monomial's.
+    monomial's.  A tag whose partial of arg has a power past MAX_POWER gets
+    one summand whose delta is slot 0's guard bit, so that _derive marks the
+    tag as it marks its own overflows.
     """
     out = []
     for (kind, aid), p in unpack(ctx, (funcs, 0))[1]:
         dkind, sgn = FUNC_DERIVATIVE[kind]
         lift = ctx._one((dkind, aid)) - ctx._one((kind, aid))
         for tag, terms in _derive(ctx.arg(aid), op).items():
+            if terms is None:
+                out.append((tag, 1 << (SLOT_BITS - 1), 0, 0))
+                continue
             for (k_packed, k_odd), c in terms.items():
                 out.append((tag, lift + k_packed, k_odd, p * sgn * c))
     return out
@@ -324,35 +332,40 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     """The derivation op of e by the graded Leibniz rule, as {tag: terms}.
 
     op is a direction d for the total derivative D_d, whose one tag is None,
-    or (owner,) for the sweep of left partials along the owner's jets, tagged
-    by the struck jet.  The loop does not tell them apart: per monomial
-    (packed, odd), each even jet the op acts on adds its slot's delta to
-    packed, one power lowered and its image (see _image) raised.  Each odd
-    jet moves to the left end, (-1)^(odd bits below it), and its image moves
-    back into place, (-1)^(odd bits below that).  The images and the function
-    part's summands come from the context's table for op (ctx._derivs): jets
-    and parts repeat across nearly every monomial and call.  Both derivations
-    act from the left, so the function part, which is even and stands left of
-    the odd part, is crossed without a sign.
+    or _SWEEP for the sweep of every owner's left partials in one pass,
+    tagged by the struck jet.  The loop does not tell them apart: per
+    monomial (packed, odd), each even jet adds its slot's delta to packed,
+    one power lowered and its image (see _image) raised.  Each odd jet moves
+    to the left end, (-1)^(odd bits below it), and its image moves back into
+    place, (-1)^(odd bits below that).  The images and the function part's
+    summands come from the context's table for op (ctx._derivs): jets and
+    parts repeat across nearly every monomial and call.  Both derivations
+    act from the left, so the function part, which is even and stands left
+    of the odd part, is crossed without a sign.
+
+    A power past MAX_POWER raises ValueError under D_d.  The sweep maps each
+    tag it reaches to None instead, so that an overflow along one owner
+    leaves every other owner's partials readable (see _along).
 
     Given a minuend (a term dict the call takes over), the tag None holds
     minuend - D_d e, built in the same pass.
     """
     ctx = e.ctx
     slot_images, bit_images, func_derivs = ctx._derivs.setdefault(op, ({}, {}, {}))
-    fmask, guard = ctx._masks["funcs"], ctx._guard
-    acts_on = ~fmask if isinstance(op, int) else ctx._masks[op[0]]
+    fmask, guard = ctx._funcs, ctx._guard
     outs: defaultdict = defaultdict(dict)
+    over = set()  # the tags that reach a power past MAX_POWER
     negate = minuend is not None
     if negate:
         outs[None] = minuend
-    held = 0  # the OR of the packed parts of e (see _check_powers)
+    held = 0  # the OR of the packed parts of e (see _overflows)
     for (packed, odd), coeff in e.terms.items():
         held |= packed
         if negate:
             coeff = -coeff
-        x = packed & acts_on
-        while x:  # x's slots, highest first, as in unpack
+        funcs = packed & fmask
+        x = packed ^ funcs
+        while x:  # the jets' slots, highest first, as in unpack
             shift = (x.bit_length() - 1) & -SLOT_BITS
             p = x >> shift
             x ^= p << shift
@@ -361,7 +374,6 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
                 tag, up = _image(ctx, ctx._units[shift // SLOT_BITS], op)
                 image = slot_images[shift] = (tag, up - (1 << shift))
             _add_term(outs[image[0]], (packed + image[1], odd), coeff * p)
-        funcs = packed & fmask
         if funcs:
             got = func_derivs.get(funcs)
             if got is None:
@@ -372,7 +384,8 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
                     continue
                 q = packed + delta
                 if q & guard:
-                    _check_powers(ctx, ((q, k_odd),))
+                    over.add(tag)
+                    continue
                 c = coeff * c2
                 if k_odd and odd and _crossings(k_odd, odd) % 2:
                     c = -c
@@ -384,8 +397,6 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
             image = bit_images.get(bit)
             if image is None:
                 image = bit_images[bit] = _image(ctx, ctx._odd_jets[bit.bit_length() - 1], op)
-            if not image:
-                continue
             tag, up = image
             swaps = (odd & (bit - 1)).bit_count()
             rest = odd ^ bit
@@ -396,7 +407,11 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
                 rest |= up
             _add_term(outs[tag], (packed, rest), -coeff if swaps % 2 else coeff)
     if held & ctx._guard >> 1:
-        _check_powers(ctx, (key for terms in outs.values() for key in terms))
+        over.update(tag for tag, terms in outs.items() if _overflows(ctx, terms))
+    if over:
+        if op != _SWEEP:
+            raise ValueError(_TOO_LARGE)
+        outs.update(dict.fromkeys(over))
     return outs
 
 
@@ -515,23 +530,47 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
     return Expression(ctx, flux), e if rest is e.terms else Expression(ctx, rest)
 
 
-def _partials(e: Expression, owner: int, side: str) -> dict:
-    """Every directed partial of e along the jets of one owner, in one sweep.
+def _sweep(e: Expression) -> dict:
+    """Every left partial of e, all owners in one _derive pass: {v: terms},
+    None for a v whose partial has a power past MAX_POWER.  _along reads
+    one owner's, on either side."""
+    return _derive(e, _SWEEP)
 
-    Returns {v: d e / dv} over the nonzero partials, the struck JetVar v
-    ascending.  The right partial is the left one times (-1)^(|v||m'|) on
-    each output monomial m': along an odd owner, the monomials with an odd
-    number of odd jets change sign.
+
+def _right(ctx, owner: int, terms: dict) -> dict:
+    """The terms of a right partial along owner, given the left one's.
+
+    The right partial is the left one times (-1)^(|v||m'|) on each output
+    monomial m': along an odd owner, the monomials with an odd number of odd
+    jets change sign, and along an even one the terms come back as they are.
+    D keeps every monomial's number of odd jets, so the same holds for the
+    Euler derivative and its blocks.
     """
+    if not ctx.parities[owner]:
+        return terms
+    return {key: -c if key[1].bit_count() % 2 else c for key, c in terms.items()}
+
+
+def _along(ctx, swept: dict, owner: int, side: str) -> dict:
+    """One owner's directed partials from a sweep (_sweep): {v: d e / dv}
+    over the nonzero ones, v ascending.  Raises ValueError when one of them
+    has a power past MAX_POWER, whatever the other owners' partials hold."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    outs = _derive(e, (owner,))
-    if side == "right" and e.ctx.parities[owner]:
-        for terms in outs.values():
-            for key, c in terms.items():
-                if key[1].bit_count() % 2:
-                    terms[key] = -c
-    return {v: Expression(e.ctx, outs[v]) for v in sorted(outs) if outs[v]}
+    out = {}
+    for v in sorted(v for v in swept if v.owner == owner):
+        terms = swept[v]
+        if terms is None:
+            raise ValueError(_TOO_LARGE)
+        if terms:
+            out[v] = Expression(ctx, _right(ctx, owner, terms) if side == "right" else terms)
+    return out
+
+
+def _partials(e: Expression, owner: int, side: str) -> dict:
+    """Every directed partial of e along the jets of one owner, read off a
+    sweep of every owner's: {v: d e / dv}, v ascending."""
+    return _along(e.ctx, _sweep(e), owner, side)
 
 
 def _structural_funcs(ctx: FieldContext, funcs: tuple) -> tuple:
@@ -666,7 +705,7 @@ class Expression:
             return NotImplemented
         self._require_same_ctx(other)
         out: dict = {}
-        held = 0  # the OR of the packed parts of both operands (see _check_powers)
+        held = 0  # the OR of the packed parts of both operands (see _overflows)
         for (p1, o1), c1 in self.terms.items():
             held |= p1
             for (p2, o2), c2 in other.terms.items():
@@ -678,8 +717,8 @@ class Expression:
                 _add_term(out, (p1 + p2, o1 | o2), c)
         for p2, _ in other.terms:
             held |= p2
-        if held & self.ctx._guard >> 1:
-            _check_powers(self.ctx, out)
+        if held & self.ctx._guard >> 1 and _overflows(self.ctx, out):
+            raise ValueError(_TOO_LARGE)
         return Expression(self.ctx, out)
 
     __rmul__ = __mul__  # int * e or Fraction * e: a rational scalar commutes
@@ -687,9 +726,19 @@ class Expression:
     def __pow__(self, exponent: int) -> "Expression":
         if type(exponent) is not int or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        result, base = Expression.const(self.ctx, 1), self
+        if len(self.terms) > 2 and exponent <= MAX_POWER:
+            # one product per power: squaring a base of three or more terms
+            # multiplies far more term pairs (Fateman, for sparse polynomials);
+            # two terms square faster.  Past MAX_POWER only a base without an
+            # even unit, such as 1+psi+psi[1], is left to raise, by squaring.
+            for _ in range(exponent):
+                result = result * base
+                if not result.terms:
+                    break
+            return result
         # square and multiply, never squaring past the exponent's top bit, so
         # no power in between is larger than the result's
-        result, base = Expression.const(self.ctx, 1), self
         while exponent:
             if exponent & 1:
                 result = result * base
@@ -809,7 +858,7 @@ def eval_zero_section(e: Expression) -> Rat:
     """
     total = 0
     for (packed, odd), coeff in e.terms.items():
-        if packed & ~e.ctx._masks["funcs"] or odd:
+        if packed & ~e.ctx._funcs or odd:
             continue
         value = coeff
         for (kind, aid), power in unpack(e.ctx, (packed, odd))[1]:

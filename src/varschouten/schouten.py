@@ -3,13 +3,15 @@
 The bracket pairs right Euler derivatives of the first argument with left
 Euler derivatives of the second over every field/antifield pair, with
 coupling +1 on the (field, antifield) face and -1 on the (antifield, field)
-face; _faces is the one statement of these couplings.  Its grading is
-shifted: |[[F,G]]| = |F| + |G| + 1 mod 2.
+face; _faces is the one statement of these couplings.  It reads them from
+each functional's store (Functional.euler), so a functional in several
+brackets is differentiated once.  Its grading is shifted:
+|[[F,G]]| = |F| + |G| + 1 mod 2.
 """
 
 from __future__ import annotations
 
-from .calculus import euler
+from .calculus import euler  # noqa: F401  (kept bound here: bench/tracer.py wraps it)
 from .core import Expression, _accumulate
 from .functional import Functional, functional_parity
 
@@ -40,7 +42,7 @@ def schouten_bracket(F: Functional, G: Functional) -> Functional:
         return Functional(Expression.zero(ctx))
     terms: dict = {}
     for _, _, first, second, sign in _faces(ctx):
-        _accumulate(terms, euler(F.density, *first) * euler(G.density, *second), sign)
+        _accumulate(terms, F.euler(*first) * G.euler(*second), sign)
     return Functional(Expression(ctx, terms))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from varschouten import (
     Expression,
+    Functional,
     JetVar,
     cos,
     euler,
@@ -391,6 +392,28 @@ class TestIsExact:
     def test_surviving_function_constant_is_not_exact(self, ctx):
         assert not is_exact(exp(Expression.const(ctx, 1)))
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # zero as functions only through an identity of exp or sin and
+            # cos, which the free differential algebra does not apply: their
+            # Euler derivatives, 2*exp(q)^2 - 2*exp(2*q) and the like, are
+            # not zero there
+            ("exp(q)*exp(q) - exp(2*q)", False),
+            ("exp(q+q[1]) - exp(q)*exp(q[1])", False),
+            ("sin(2*q) - 2*sin(q)*cos(q)", False),
+            # not zero as densities either, but the chain rule alone cancels
+            # their Euler derivatives, and their zero-section value is 0
+            ("sin(q)^2+cos(q)^2-1", True),
+            ("exp(-q)*exp(q)-1", True),
+        ],
+    )
+    def test_verdicts_are_decided_in_the_free_algebra(self, ctx, text, want):
+        e = parse_density(text, ctx)
+        assert not e.is_zero()
+        assert is_exact(e) is want
+        assert Functional(e).is_zero() is want
+
     def test_verdict_is_invariant_under_scaling(self, ctx):
         # the first 8 criterion-5 defects (seed 2026), and non-exact controls:
         # each defect plus a non-exact density, and that density alone
@@ -621,6 +644,30 @@ class TestLowering:
         flux, rest = _lower(e)
         assert flux.is_zero() and rest is e and e.terms == before
         assert is_exact(e) is False
+
+    def test_an_overflow_stays_with_its_owner(self):
+        # one sweep strikes every owner's jets; the chain rule's b^32768 in
+        # the partial along b leaves the partials along u and v readable
+        ctx = parse_context(_PAIRS)
+        b = jet(ctx, "b")
+        tail = exp(b**30000) * b**2769
+        e = parse_density("u[2]^2", ctx) + tail * jet(ctx, "v", 2)
+        assert partial(e, JetVar(0, (2,))) == parse_density("2*u[2]", ctx)
+        assert euler(e, "u") == parse_density("2*u[4]", ctx)
+        assert partial(e, JetVar(1, (2,)), "right") == tail
+        # the same overflow inside a function argument, through the chain rule
+        u1 = jet(ctx, "u", 1)
+        nested = exp(tail + u1**2) * jet(ctx, "v", 2)
+        assert partial(nested, JetVar(0, (1,))) == 2 * u1 * exp(tail + u1**2) * jet(ctx, "v", 2)
+        reads = [
+            lambda: partial(e, JetVar(3, (0,))),
+            lambda: euler(e, "b"),
+            lambda: euler_blocks(e, "b", "right"),
+            lambda: partial(nested, JetVar(3, (0,))),
+        ]
+        for read in reads:
+            with pytest.raises(ValueError, match="larger than 32767"):
+                read()
 
     def test_a_plane_density_comes_back_whole(self):
         ctx = parse_context("indep x y\nfield q even antifield p\n")

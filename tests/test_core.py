@@ -254,6 +254,32 @@ class TestPowerLimit:
         assert one ** 10**6 == one
         assert (Expression.zero(ctx) ** 10**9).is_zero()
 
+    def test_a_base_of_several_terms_multiplies_once_per_power(self, ctx, monkeypatch):
+        base = parse_density("q + q[1] + q[2] + q[3]", ctx)
+        want = Expression.const(ctx, 1)
+        for _ in range(40):
+            want = want * base
+        squares = [base]
+        for _ in range(3):
+            squares.append(squares[-1] * squares[-1])
+        assert squares[3] * squares[2] * squares[1] == base**14
+        products = []
+        real = Expression.__mul__
+
+        def mul(a, b):
+            products.append(len(b.terms))
+            return real(a, b)
+
+        monkeypatch.setattr(Expression, "__mul__", mul)
+        assert base**40 == want
+        assert products == [4] * 40
+        # a base of one or two terms squares: a few dozen products
+        del products[:]
+        assert Expression.const(ctx, 1) ** 10**6 == Expression.const(ctx, 1)
+        assert format_density(jet(ctx, "q") ** MAX_POWER) == f"q^{MAX_POWER}"
+        assert len(((jet(ctx, "q") + jet(ctx, "q", 1)) ** 300).terms) == 301
+        assert len(products) < 80
+
     def test_repeated_squaring(self, ctx):
         e = jet(ctx, "q") * jet(ctx, "q", 1)
         for _ in range(14):
@@ -561,7 +587,7 @@ class TestDerivationTable:
         partial(second, q1)
         # only the units the first calls did not meet, each once
         assert met and len(set(met)) == len(met) and not before & set(met)
-        assert set(ctx._derivs) == {0, (ctx.owner("q"),)}
+        assert set(ctx._derivs) == {0, core._SWEEP}
 
     def test_no_other_module_reads_private_context_state(self):
         private = {n for n in vars(FieldContext(("x",), [("q", "p", 0)])) if n.startswith("_")}

@@ -17,6 +17,7 @@ import pytest
 
 from varschouten import (
     Expression,
+    Functional,
     JetVar,
     cos,
     euler,
@@ -188,6 +189,34 @@ def test_euler_is_the_sum_of_its_blocks(text, max_order, data):
                 for _, block in euler_blocks(e, owner, side):
                     total = total + block
                 assert euler(e, owner, side) == total, (owner, side)
+
+
+@pytest.mark.parametrize(
+    "text, max_order",
+    [
+        ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 2),
+        ("indep x y\nfield q even antifield p\n", 1),
+        ("indep t\nfield psi odd antifield chi\n", 2),
+    ],
+    ids=["pairs", "plane", "odd"],
+)
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_a_functional_keeps_the_euler_derivatives(text, max_order, data):
+    # a Functional computes every owner's derivatives on both sides from one
+    # sweep, the right ones from the left; each functional is asked one side
+    # first, so both orders of filling its store are read
+    ctx = parse_context(text)
+    a, b = _pair(data, ctx, max_order)
+    for e in (a, a * b + b):
+        for first in ("left", "right"):
+            F = Functional(e)
+            for side in (first, "right" if first == "left" else "left"):
+                for owner in range(len(ctx.names)):
+                    total = Expression.zero(ctx)
+                    for _, block in euler_blocks(e, owner, side):
+                        total = total + block
+                    assert euler(e, owner, side) == total == F.euler(owner, side), (owner, side)
 
 
 def _asks(ctx) -> list:

@@ -42,6 +42,31 @@ def test_golden_inner_bracket_value(ctx, golden):
     assert schouten_bracket(G, H).density == want
 
 
+def test_one_sweep_per_functional(sweeps, ctx):
+    # Each functional's Euler derivatives come from one sweep of its
+    # partials, on first use, and serve every bracket it enters: the six
+    # brackets of the golden Jacobi defect sweep F, G, H and the three inner
+    # brackets once each, and is_exact sweeps all owners at once.  Per owner
+    # and per bracket, as before, that was 24 + 2 sweeps.
+    texts = ("p * q * q[2]", "p[1] * exp(q[1])", "p[2] * cos(q)")
+
+    def triple():
+        return [Functional(parse_density(t, ctx), r) for t, r in zip(texts, "FGH")]
+
+    with sweeps.paused():
+        assert is_exact(jacobi_defect(*triple()).density)  # warms the context's tables
+    F, G, H = triple()
+    defect = jacobi_defect(F, G, H).density
+    assert len(sweeps) == 6
+    assert is_exact(defect)
+    assert len(sweeps) == 7
+    # the store outlives the call: brackets of the same functionals sweep nothing
+    jacobi_defect(F, G, H)
+    graded_symmetry_defect(G, F)
+    assert len(sweeps) == 7 + 3
+    assert F.euler("q", "right") == euler(F.density, "q", "right")
+
+
 def test_shifted_parity(ctx, golden):
     F, G, H = golden
     for a, b in ((F, G), (G, H), (F, H)):

@@ -137,6 +137,17 @@ def test_even_parity_triple_flips_eq_sign(ctx):
     assert rep.cancellation_pairs == []
 
 
+def test_the_trace_shares_its_sweeps(sweeps, ctx, golden):
+    # one sweep per role, one per first partial of each first strike, and
+    # the bracket check's seven (six functionals and is_exact); a sweep per
+    # owner, block and cell made 78
+    with sweeps.paused():
+        expand_trace(*golden)  # warms the context's tables
+    report = expand_trace(*golden)
+    assert report.verdict == "verified"
+    assert len(sweeps) == 3 + 9 + 7
+
+
 def test_trace_may_be_vacuous(ctx):
     # a triple whose every expansion face vanishes still verifies
     F = Functional(parse_density("q * q[2]", ctx), "F")

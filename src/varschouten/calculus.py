@@ -118,12 +118,11 @@ def _euler(ctx, partials: dict) -> Expression:
     return _alternating_total(ctx, {v.order: d for v, d in partials.items()}, 0)
 
 
-def _left_eulers(e: Expression):
-    """Every owner's left Euler derivative of e in owner order, from one
-    sweep of its partials, each computed when the caller asks for it."""
-    swept = _sweep(e)
-    for owner in range(len(e.ctx.names)):
-        yield _euler(e.ctx, _along(e.ctx, swept, owner, "left"))
+def _left_eulers(ctx, swept: dict):
+    """Every owner's left Euler derivative in owner order, from one sweep of
+    partials (core._sweep), each computed when the caller asks for it."""
+    for owner in range(len(ctx.names)):
+        yield _euler(ctx, _along(ctx, swept, owner, "left"))
 
 
 def is_exact(e: Expression) -> bool:
@@ -149,7 +148,7 @@ def is_exact(e: Expression) -> bool:
     if e.is_zero():
         return True
     e = _lower(e)[1].content_and_primitive()[1]
-    if any(not d.is_zero() for d in _left_eulers(e)):
+    if any(not d.is_zero() for d in _left_eulers(e.ctx, _sweep(e))):
         return False
     try:
         return eval_zero_section(e) == 0

@@ -21,36 +21,12 @@ from functools import cache
 from itertools import count
 from typing import Optional, Union
 
-from .calculus import _blocks, is_exact, iterated_derivative
-from .core import Expression, _accumulate, _along, _sweep
+from .calculus import _blocks, is_exact
+from .core import Expression, _accumulate, _along
 from .functional import Functional, functional_parity
 from .schouten import _faces, _sign, eq1_sign, jacobi_defect
 
 ROLES = ("F", "G", "H")
-
-
-class _Swept(Expression):
-    """A density that keeps the sweeps of partials read from it, each made
-    once: its own, of every owner, and per first strike (w1, side1) the
-    sweep of each first partial, which every second strike reads.  They live
-    as long as the object; expand_trace makes one per role for one call."""
-
-    __slots__ = ("sweep", "_firsts")
-
-    def __init__(self, e: Expression) -> None:
-        super().__init__(e.ctx, e.terms)
-        self.sweep = _sweep(e)
-        self._firsts: dict = {}
-
-    def firsts(self, w1: int, side1: str) -> list:
-        """[(v1, sweep of d_side1 e / d v1)] over the first partials along w1."""
-        got = self._firsts.get((w1, side1))
-        if got is None:
-            got = self._firsts[(w1, side1)] = [
-                (v1, _sweep(first))
-                for v1, first in _along(self.ctx, self.sweep, w1, side1).items()
-            ]
-        return got
 
 
 def second_variation_cells(
@@ -67,20 +43,22 @@ def second_variation_cells(
     first: D^sigma of the tau Euler block of each first partial, with the sign
     of sigma.  The derivative chains stay on the struck kernel; cofactors of
     the enclosing expansion are never differentiated by them.  Returns nonzero
-    cells with (sigma, tau) ascending in graded-lexicographic order.  Given a
-    _Swept density, the call reads the sweeps it keeps.
+    cells with (sigma, tau) ascending in graded-lexicographic order.
     """
     ctx = e.ctx
-    swept = e if isinstance(e, _Swept) else _Swept(e)
-    cells = []
-    for v1, sweep in swept.firsts(ctx.owner(w1), side1):
-        for tau, block in _blocks(_along(ctx, sweep, ctx.owner(w2), side2)):
-            value = iterated_derivative(block, v1.order)
-            if v1.degree % 2:
-                value = -value
-            if not value.is_zero():
-                cells.append(((v1.order, tau), value))
-    return cells
+    return _cells(Functional(e), ctx.owner(w1), side1, ctx.owner(w2), side2)
+
+
+def _cells(F: Functional, w1: int, side1: str, w2: int, side2: str) -> list:
+    """second_variation_cells of F's density along owners w1 and w2, read
+    off the sweeps F keeps: each cell is an Euler block, over sigma, of a tau
+    Euler block of a first partial."""
+    return [
+        ((sigma, tau), value)
+        for v1, sweep in F.firsts(w1, side1)
+        for tau, block in _blocks(_along(F.ctx, sweep, w2, side2))
+        for sigma, value in _blocks({v1: block})
+    ]
 
 
 @dataclass
@@ -226,18 +204,16 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     prims = {r: Functional(p, X.label) for r, (_, p), X in zip(ROLES, split, (F, G, H))}
     content = split[0][0] * split[1][0] * split[2][0]
 
-    # One sweep of each role's partials serves its first-variation blocks
-    # and its cells' first strikes, on both sides (see _Swept).
-    swept = {role: _Swept(X.density) for role, X in prims.items()}
-
+    # Each role's Functional keeps one sweep of its partials, which serves its
+    # first-variation blocks, its cells' first strikes and the bracket check.
     @cache
     def blocks(role, owner, side):
-        return _blocks(_along(ctx, swept[role].sweep, owner, side))
+        return _blocks(_along(ctx, prims[role].sweep, owner, side))
 
     # a module global looked up at call time, so wrappers of it see every call
     @cache
     def cells(role, w1, s1, w2, s2):
-        return second_variation_cells(swept[role], w1, s1, w2, s2)
+        return _cells(prims[role], w1, s1, w2, s2)
 
     groups: dict[str, list[TraceGroup]] = {}
     pieces: dict[str, list[TraceTerm]] = {}

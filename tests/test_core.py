@@ -188,6 +188,7 @@ class TestArithmetic:
             (lambda q, alien: q + alien, "different field contexts"),
             (lambda q, alien: q * alien, "different field contexts"),
             (lambda q, alien: euler(q, "q", "up"), "side must be 'left' or 'right'"),
+            (lambda q, alien: Functional(q).euler("q", "up"), "side must be 'left' or 'right'"),
             (lambda q, alien: q**-1, "nonnegative integer"),
             (lambda q, alien: q**True, "nonnegative integer"),
             (lambda q, alien: q**False, "nonnegative integer"),
@@ -201,7 +202,8 @@ class TestArithmetic:
                 "different field contexts",
             ),
         ],
-        ids=["add-alien", "mul-alien", "euler-side", "pow-negative", "pow-true", "pow-false",
+        ids=["add-alien", "mul-alien", "euler-side", "functional-euler-side",
+             "pow-negative", "pow-true", "pow-false",
              "ledger-parity",
              "functional-eq-alien", "scale-add-alien"],
     )
@@ -279,6 +281,22 @@ class TestPowerLimit:
         assert format_density(jet(ctx, "q") ** MAX_POWER) == f"q^{MAX_POWER}"
         assert len(((jet(ctx, "q") + jet(ctx, "q", 1)) ** 300).terms) == 301
         assert len(products) < 80
+
+    def test_a_power_stops_at_its_first_zero_product(self, monkeypatch):
+        # a sum of odd jets squares to zero, so the loop stops after its
+        # second product instead of running to the exponent
+        ctx = parse_context("indep t\nfield psi odd antifield chi\n")
+        base = parse_density("psi + psi[1] + psi[2]", ctx)
+        products = []
+        real = Expression.__mul__
+
+        def mul(a, b):
+            products.append(len(b.terms))
+            return real(a, b)
+
+        monkeypatch.setattr(Expression, "__mul__", mul)
+        assert (base**1000).is_zero()
+        assert products == [3, 3]
 
     def test_repeated_squaring(self, ctx):
         e = jet(ctx, "q") * jet(ctx, "q", 1)

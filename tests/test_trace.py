@@ -139,13 +139,14 @@ def test_even_parity_triple_flips_eq_sign(ctx):
 
 def test_the_trace_shares_its_sweeps(sweeps, ctx, golden):
     # one sweep per role, one per first partial of each first strike, and
-    # the bracket check's seven (six functionals and is_exact); a sweep per
-    # owner, block and cell made 78
+    # the bracket check's four (the three inner brackets and is_exact): the
+    # bracket check brackets the roles' own Functionals, so it reuses their
+    # sweeps.  A sweep per owner, block and cell made 78
     with sweeps.paused():
         expand_trace(*golden)  # warms the context's tables
     report = expand_trace(*golden)
     assert report.verdict == "verified"
-    assert len(sweeps) == 3 + 9 + 7
+    assert len(sweeps) == 3 + 9 + 4
 
 
 def test_trace_may_be_vacuous(ctx):
@@ -162,16 +163,16 @@ def test_trace_may_be_vacuous(ctx):
 def test_a_spoiled_second_variation_leaves_pieces_unresolved(monkeypatch, golden, capsys):
     # negate every cell of H's strike (q, left)(p, left): the pieces built from
     # it no longer equal their predicted partners, and nothing else pairs them
-    original = trace.second_variation_cells
+    original = trace._cells
     h_text = format_density(golden[2].density)
 
-    def spoiled(e, w1, s1, w2, s2):
-        cells = original(e, w1, s1, w2, s2)
-        if format_density(e) == h_text and (w1, s1, w2, s2) == (0, "left", 1, "left"):
+    def spoiled(F, w1, s1, w2, s2):
+        cells = original(F, w1, s1, w2, s2)
+        if format_density(F.density) == h_text and (w1, s1, w2, s2) == (0, "left", 1, "left"):
             return [(cell, -value) for cell, value in cells]
         return cells
 
-    monkeypatch.setattr(trace, "second_variation_cells", spoiled)
+    monkeypatch.setattr(trace, "_cells", spoiled)
     rep = expand_trace(*golden)
     assert rep.verdict == "unresolved"
     unresolved = [
@@ -344,15 +345,15 @@ def test_trace_is_trilinear(monkeypatch, ctx, zero_role, spoil):
     # every piece is one factor of each role times +-1, so scaling F, G, H by
     # a, b, c scales every reported density by a*b*c and changes no bookkeeping
     if spoil:  # a cell scaled by -3/2 leaves a nonzero residue that is not exact
-        original = trace.second_variation_cells
+        original = trace._cells
 
-        def spoiled(e, w1, s1, w2, s2):
-            cells = original(e, w1, s1, w2, s2)
+        def spoiled(F, w1, s1, w2, s2):
+            cells = original(F, w1, s1, w2, s2)
             if (w1, s1, w2, s2) == (0, "left", 1, "left"):
                 return [(cell, value.scale(Fraction(-3, 2))) for cell, value in cells]
             return cells
 
-        monkeypatch.setattr(trace, "second_variation_cells", spoiled)
+        monkeypatch.setattr(trace, "_cells", spoiled)
     triple = _trial_triple(ctx, 0)
     if zero_role is not None:
         triple[zero_role] = Functional(Expression.zero(ctx), "Z")

@@ -105,8 +105,7 @@ def euler(e: Expression, ref: Union[int, str], side: Side = "left") -> Expressio
     """Directed Euler (variational) derivative with respect to an owner.
 
     Same value as summing euler_blocks, computed with far fewer total
-    derivatives via a nested alternating fold.  Functional.euler keeps a
-    functional's derivatives along every owner, from one sweep.
+    derivatives via a nested alternating fold (Functional.euler keeps it).
     """
     return _euler(e.ctx, _partials(e, e.ctx.owner(ref), side))
 
@@ -116,13 +115,6 @@ def _euler(ctx, partials: dict) -> Expression:
     if not partials:
         return Expression.zero(ctx)
     return _alternating_total(ctx, {v.order: d for v, d in partials.items()}, 0)
-
-
-def _left_eulers(ctx, swept: dict):
-    """Every owner's left Euler derivative in owner order, from one sweep of
-    partials (core._sweep), each computed when the caller asks for it."""
-    for owner in range(len(ctx.names)):
-        yield _euler(ctx, _along(ctx, swept, owner, "left"))
 
 
 def is_exact(e: Expression) -> bool:
@@ -148,8 +140,10 @@ def is_exact(e: Expression) -> bool:
     if e.is_zero():
         return True
     e = _lower(e)[1].content_and_primitive()[1]
-    if any(not d.is_zero() for d in _left_eulers(e.ctx, _sweep(e))):
-        return False
+    ctx, swept = e.ctx, _sweep(e)
+    for owner in range(len(ctx.names)):
+        if not _euler(ctx, _along(ctx, swept, owner, "left")).is_zero():
+            return False
     try:
         return eval_zero_section(e) == 0
     except ValueError:

@@ -551,12 +551,16 @@ def _right(ctx, owner: int, terms: dict) -> dict:
     return {key: -c if key[1].bit_count() % 2 else c for key, c in terms.items()}
 
 
+def _check_side(side: str) -> None:
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
 def _along(ctx, swept: dict, owner: int, side: str) -> dict:
     """One owner's directed partials from a sweep (_sweep): {v: d e / dv}
     over the nonzero ones, v ascending.  Raises ValueError when one of them
     has a power past MAX_POWER, whatever the other owners' partials hold."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     out = {}
     for v in sorted(v for v in swept if v.owner == owner):
         terms = swept[v]

@@ -3,69 +3,82 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Union
 
-from .calculus import _left_eulers, is_exact
-from .core import Expression, FieldContext, Rat, _along, _right, _sweep
+from .calculus import _blocks, _euler, is_exact
+from .core import Expression, FieldContext, Rat, _along, _check_side, _right, _sweep
 
 
 @dataclass(frozen=True, eq=False)
 class Functional:
     """A density under an integral sign; equality is modulo total divergences.
 
-    It owns what a sweep of its density's partials yields, each made on first
-    use and kept as long as the functional: the sweep, every owner's left
-    Euler derivative, and per first strike the sweeps of the first partials.
+    It owns everything derived from its density, in one store behind one
+    memo (_keep): the sweep, each owner's left Euler derivative and blocks,
+    per first strike the first partials' sweeps, and the cells read off
+    them, each made on first use and handed out as kept (do not mutate it).
     """
 
     density: Expression
     label: str = ""
-    # (w1, side1) -> [(v1, sweep of d_side1 density / d v1)], filled by firsts
-    _firsts: dict = field(default_factory=dict, init=False, repr=False)
+    _store: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def ctx(self) -> FieldContext:
         return self.density.ctx
 
-    @cached_property
+    def _keep(self, key: tuple, make):
+        """The store's entry at key, made by make() on the first ask."""
+        if key not in self._store:
+            self._store[key] = make()
+        return self._store[key]
+
+    @property
     def sweep(self) -> dict:
         """Every left partial of the density, all owners in one pass (core._sweep)."""
-        return _sweep(self.density)
-
-    @cached_property
-    def _eulers(self) -> list:
-        """Every owner's left Euler derivative, in owner order, from the sweep."""
-        return list(_left_eulers(self.ctx, self.sweep))
+        return self._keep(("sweep",), lambda: _sweep(self.density))
 
     def euler(self, ref: Union[int, str], side: str = "left") -> Expression:
         """The directed Euler derivative of the functional along an owner.
 
         It belongs to the functional, not to the density that represents it
-        (E o D = 0).  The first call computes every owner's left derivative
-        from the functional's sweep and keeps them.  A right derivative is
-        read off the kept left one on each call: an even owner's serves both
-        sides, and an odd owner's is the left one with a sign per monomial
-        (core._right); nothing else is kept for it.  A power past MAX_POWER
-        along any owner raises ValueError, as the brackets need them all.
+        (E o D = 0).  The left one is folded from the sweep on its first ask
+        and kept; the right one is read off it on each call (core._right).
+        A power past MAX_POWER raises ValueError only along this owner.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        owner = self.ctx.owner(ref)
-        left = self._eulers[owner]
-        if side == "left":
-            return left
-        return Expression(self.ctx, _right(self.ctx, owner, left.terms))
+        _check_side(side)
+        ctx, owner = self.ctx, self.ctx.owner(ref)
+        left = self._keep(
+            ("euler", owner), lambda: _euler(ctx, _along(ctx, self.sweep, owner, "left"))
+        )
+        return left if side == "left" else Expression(ctx, _right(ctx, owner, left.terms))
 
-    def firsts(self, w1: int, side1: str) -> list:
-        """[(v1, sweep of d_side1 density / d v1)] over the first partials
-        along owner w1, which every second strike on them reads."""
-        got = self._firsts.get((w1, side1))
-        if got is None:
-            got = self._firsts[(w1, side1)] = [
-                (v1, _sweep(first)) for v1, first in _along(self.ctx, self.sweep, w1, side1).items()
-            ]
-        return got
+    def blocks(self, ref: Union[int, str], side: str = "left") -> list:
+        """The Euler blocks along an owner: calculus.euler_blocks of the density."""
+        owner = self.ctx.owner(ref)
+        return self._keep(
+            ("blocks", owner, side), lambda: _blocks(_along(self.ctx, self.sweep, owner, side))
+        )
+
+    def cells(self, w1: Union[int, str], side1: str, w2: Union[int, str], side2: str) -> list:
+        """The mixed second-variation cells: trace.second_variation_cells of
+        the density.  Each is an Euler block, over sigma, of a tau Euler block
+        of a first partial, whose sweep is kept per first strike (w1, side1)."""
+        _check_side(side2)  # side1 is checked by the first strike's _along
+        ctx, w1, w2 = self.ctx, self.ctx.owner(w1), self.ctx.owner(w2)
+        firsts = self._keep(
+            ("firsts", w1, side1),
+            lambda: [(v1, _sweep(d)) for v1, d in _along(ctx, self.sweep, w1, side1).items()],
+        )
+        return self._keep(
+            ("cells", w1, side1, w2, side2),
+            lambda: [
+                ((sigma, tau), value)
+                for v1, sweep in firsts
+                for tau, block in _blocks(_along(ctx, sweep, w2, side2))
+                for sigma, value in _blocks({v1: block})
+            ],
+        )
 
     def is_zero(self) -> bool:
         """True iff the functional is zero, i.e. the density is exact.

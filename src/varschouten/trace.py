@@ -17,12 +17,11 @@ pair, and a final verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import count
 from typing import Optional, Union
 
-from .calculus import _blocks, is_exact
-from .core import Expression, _accumulate, _along
+from .calculus import is_exact
+from .core import Expression, _accumulate
 from .functional import Functional, functional_parity
 from .schouten import _faces, _sign, eq1_sign, jacobi_defect
 
@@ -30,11 +29,7 @@ ROLES = ("F", "G", "H")
 
 
 def second_variation_cells(
-    e: Expression,
-    w1: Union[int, str],
-    side1: str,
-    w2: Union[int, str],
-    side2: str,
+    e: Expression, w1: Union[int, str], side1: str, w2: Union[int, str], side2: str
 ) -> list[tuple[tuple, Expression]]:
     """Block form of a mixed second variation of a density.
 
@@ -45,20 +40,7 @@ def second_variation_cells(
     the enclosing expansion are never differentiated by them.  Returns nonzero
     cells with (sigma, tau) ascending in graded-lexicographic order.
     """
-    ctx = e.ctx
-    return _cells(Functional(e), ctx.owner(w1), side1, ctx.owner(w2), side2)
-
-
-def _cells(F: Functional, w1: int, side1: str, w2: int, side2: str) -> list:
-    """second_variation_cells of F's density along owners w1 and w2, read
-    off the sweeps F keeps: each cell is an Euler block, over sigma, of a tau
-    Euler block of a first partial."""
-    return [
-        ((sigma, tau), value)
-        for v1, sweep in F.firsts(w1, side1)
-        for tau, block in _blocks(_along(F.ctx, sweep, w2, side2))
-        for sigma, value in _blocks({v1: block})
-    ]
+    return Functional(e).cells(w1, side1, w2, side2)
 
 
 @dataclass
@@ -204,17 +186,6 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     prims = {r: Functional(p, X.label) for r, (_, p), X in zip(ROLES, split, (F, G, H))}
     content = split[0][0] * split[1][0] * split[2][0]
 
-    # Each role's Functional keeps one sweep of its partials, which serves its
-    # first-variation blocks, its cells' first strikes and the bracket check.
-    @cache
-    def blocks(role, owner, side):
-        return _blocks(_along(ctx, prims[role].sweep, owner, side))
-
-    # a module global looked up at call time, so wrappers of it see every call
-    @cache
-    def cells(role, w1, s1, w2, s2):
-        return _cells(prims[role], w1, s1, w2, s2)
-
     groups: dict[str, list[TraceGroup]] = {}
     pieces: dict[str, list[TraceTerm]] = {}
     # every group by (section, coords) and every piece by (section, coords,
@@ -245,8 +216,8 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
             # product and a(bc) B*C, so the pair away from the longer end
             # factor goes first.  The cells are built only for a group that
             # has pieces.
-            outer, cofactor = blocks(*spec.outer), blocks(*spec.cofactor)
-            factors = (outer, cofactor, cells(*spec.struck) if outer and cofactor else [])
+            outer, cofactor = (prims[r].blocks(w, s) for r, w, s in (spec.outer, spec.cofactor))
+            factors = outer, cofactor, outer and cofactor and prims[struck].cells(*spec.struck[1:])
             xy = (2, 1) if target == 0 else (1, 2)  # factors[2] holds the cells
             order = (0, *xy) if sect.composite_second else (*xy, 0)
             ends = [sum(len(v.terms) for _, v in factors[f]) for f in (order[0], order[2])]
@@ -350,9 +321,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
         lhs_total=totals["lhs"],
         rhs1_total=totals["rhs1"],
         rhs2_total=totals["rhs2"],
-        bracket_check=_bracket_check(
-            prims["F"], prims["G"], prims["H"], primitive_residue
-        ),
+        bracket_check=_bracket_check(*prims.values(), primitive_residue),
     )
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import pickle
 import random
 from collections import Counter
@@ -29,6 +30,7 @@ from varschouten import (
     partial,
     reorder_sign_ledger,
     scale_add,
+    second_variation_cells,
     sin,
     total_derivative,
 )
@@ -189,6 +191,11 @@ class TestArithmetic:
             (lambda q, alien: q * alien, "different field contexts"),
             (lambda q, alien: euler(q, "q", "up"), "side must be 'left' or 'right'"),
             (lambda q, alien: Functional(q).euler("q", "up"), "side must be 'left' or 'right'"),
+            # q has no p jets, so the second side is never read by a strike
+            (
+                lambda q, alien: second_variation_cells(q, "p", "left", "q", "up"),
+                "side must be 'left' or 'right'",
+            ),
             (lambda q, alien: q**-1, "nonnegative integer"),
             (lambda q, alien: q**True, "nonnegative integer"),
             (lambda q, alien: q**False, "nonnegative integer"),
@@ -202,7 +209,7 @@ class TestArithmetic:
                 "different field contexts",
             ),
         ],
-        ids=["add-alien", "mul-alien", "euler-side", "functional-euler-side",
+        ids=["add-alien", "mul-alien", "euler-side", "functional-euler-side", "cells-side",
              "pow-negative", "pow-true", "pow-false",
              "ledger-parity",
              "functional-eq-alien", "scale-add-alien"],
@@ -607,16 +614,30 @@ class TestDerivationTable:
         assert met and len(set(met)) == len(met) and not before & set(met)
         assert set(ctx._derivs) == {0, core._SWEEP}
 
-    def test_no_other_module_reads_private_context_state(self):
-        private = {n for n in vars(FieldContext(("x",), [("q", "p", 0)])) if n.startswith("_")}
-        assert "_derivs" in private
+    @staticmethod
+    def _reads_elsewhere(home: str, private: set) -> list:
+        """Every read of one of the private names in a module other than home."""
+        reads = []
         for path in sorted(Path(core.__file__).parent.glob("*.py")):
-            if path.name == "core.py":
+            if path.name == home:
                 continue
             tree = ast.parse(path.read_text(), str(path))
-            reads = [
+            reads += [
                 f"{path.name}:{node.lineno} .{node.attr}"
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr in private
             ]
-            assert not reads
+        return reads
+
+    def test_no_other_module_reads_private_context_state(self):
+        private = {n for n in vars(FieldContext(("x",), [("q", "p", 0)])) if n.startswith("_")}
+        assert "_derivs" in private
+        assert not self._reads_elsewhere("core.py", private)
+
+    def test_no_other_module_reads_private_functional_state(self):
+        # the store and its memo belong to functional.py: the trace and the
+        # brackets read a functional's derivatives through its methods
+        names = [f.name for f in dataclasses.fields(Functional)] + list(vars(Functional))
+        private = {n for n in names if n.startswith("_") and not n.endswith("__")}
+        assert {"_store", "_keep"} <= private
+        assert not self._reads_elsewhere("functional.py", private)

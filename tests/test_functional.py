@@ -68,3 +68,18 @@ def test_repr_counts_monomials(ctx):
     assert repr(Functional(parse_density("q", ctx), "F")) == "<F: 1 monomial>"
     assert repr(Functional(parse_density("q + p", ctx))) == "<functional: 2 monomials>"
     assert repr(zero_functional(ctx)) == "<0: 0 monomials>"
+
+
+def test_a_second_read_of_the_store_sweeps_nothing(sweeps, ctx):
+    # the first read of blocks sweeps the density, the first read of a cell
+    # strike sweeps each first partial along it, and a second read of either,
+    # by name or by index, is read off the store
+    F = Functional(parse_density("p * q * q[2] + p[1] * exp(q[1])", ctx))
+    blocks = F.blocks("q", "right")
+    assert len(sweeps) == 1
+    cells = F.cells("q", "left", "p", "right")
+    assert len(sweeps) == 1 + 3  # q, q[1], q[2]
+    assert F.blocks(0, "right") is blocks
+    assert F.cells(0, "left", 1, "right") is cells
+    F.cells("q", "left", "q", "left")  # the same first strike
+    assert len(sweeps) == 1 + 3

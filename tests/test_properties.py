@@ -26,11 +26,13 @@ from varschouten import (
     exp,
     format_density,
     graded_symmetry_defect,
+    iterated_derivative,
     jet,
     jet_orders,
     parse_context,
     parse_density,
     partial,
+    second_variation_cells,
     sin,
     total_derivative,
 )
@@ -191,7 +193,8 @@ def test_euler_is_the_sum_of_its_blocks(text, max_order, data):
                 assert euler(e, owner, side) == total, (owner, side)
 
 
-@pytest.mark.parametrize(
+# the contexts beyond the default line: two pairs, a plane, an odd field
+STORE_CONTEXTS = pytest.mark.parametrize(
     "text, max_order",
     [
         ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 2),
@@ -200,6 +203,9 @@ def test_euler_is_the_sum_of_its_blocks(text, max_order, data):
     ],
     ids=["pairs", "plane", "odd"],
 )
+
+
+@STORE_CONTEXTS
 @SETTINGS
 @hypothesis.given(data=st.data())
 def test_a_functional_keeps_the_euler_derivatives(text, max_order, data):
@@ -217,6 +223,44 @@ def test_a_functional_keeps_the_euler_derivatives(text, max_order, data):
                     for _, block in euler_blocks(e, owner, side):
                         total = total + block
                     assert euler(e, owner, side) == total == F.euler(owner, side), (owner, side)
+
+
+def _cells_by_hand(e: Expression, w1: int, s1: str, w2: int, s2: str) -> list:
+    """second_variation_cells from public derivatives: for each first partial
+    along w1 in graded-lex order, (-1)^|sigma| D^sigma of each of its Euler
+    blocks along w2."""
+    out = []
+    for sigma in sorted(jet_orders(e, w1), key=lambda o: (sum(o), o)):
+        for tau, block in euler_blocks(partial(e, JetVar(w1, sigma), s1), w2, s2):
+            value = iterated_derivative(block, sigma)
+            if not value.is_zero():
+                out.append(((sigma, tau), -value if sum(sigma) % 2 else value))
+    return out
+
+
+@STORE_CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_a_functional_keeps_its_blocks_and_cells(text, max_order, data):
+    # the store keys blocks and cells by owner and sides; each functional is
+    # asked one side first, so both orders of filling its store are read
+    ctx = parse_context(text)
+    a, b = _pair(data, ctx, max_order)
+    owners = range(len(ctx.names))
+    for e in (a, a * b + b):
+        for first in ("left", "right"):
+            F = Functional(e)
+            sides = (first, "right" if first == "left" else "left")
+            for side in sides:
+                for w in owners:
+                    assert F.blocks(w, side) == euler_blocks(e, w, side), (w, side)
+            for s1 in sides:
+                for s2 in sides:
+                    for w1 in owners:
+                        for w2 in owners:
+                            want = second_variation_cells(e, w1, s1, w2, s2)
+                            assert F.cells(w1, s1, w2, s2) == want, (w1, s1, w2, s2)
+                            assert want == _cells_by_hand(e, w1, s1, w2, s2), (w1, s1, w2, s2)
 
 
 def _asks(ctx) -> list:

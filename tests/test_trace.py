@@ -163,7 +163,7 @@ def test_trace_may_be_vacuous(ctx):
 def test_a_spoiled_second_variation_leaves_pieces_unresolved(monkeypatch, golden, capsys):
     # negate every cell of H's strike (q, left)(p, left): the pieces built from
     # it no longer equal their predicted partners, and nothing else pairs them
-    original = trace._cells
+    original = Functional.cells
     h_text = format_density(golden[2].density)
 
     def spoiled(F, w1, s1, w2, s2):
@@ -172,7 +172,7 @@ def test_a_spoiled_second_variation_leaves_pieces_unresolved(monkeypatch, golden
             return [(cell, -value) for cell, value in cells]
         return cells
 
-    monkeypatch.setattr(trace, "_cells", spoiled)
+    monkeypatch.setattr(Functional, "cells", spoiled)
     rep = expand_trace(*golden)
     assert rep.verdict == "unresolved"
     unresolved = [
@@ -345,7 +345,7 @@ def test_trace_is_trilinear(monkeypatch, ctx, zero_role, spoil):
     # every piece is one factor of each role times +-1, so scaling F, G, H by
     # a, b, c scales every reported density by a*b*c and changes no bookkeeping
     if spoil:  # a cell scaled by -3/2 leaves a nonzero residue that is not exact
-        original = trace._cells
+        original = Functional.cells
 
         def spoiled(F, w1, s1, w2, s2):
             cells = original(F, w1, s1, w2, s2)
@@ -353,7 +353,7 @@ def test_trace_is_trilinear(monkeypatch, ctx, zero_role, spoil):
                 return [(cell, value.scale(Fraction(-3, 2))) for cell, value in cells]
             return cells
 
-        monkeypatch.setattr(trace, "_cells", spoiled)
+        monkeypatch.setattr(Functional, "cells", spoiled)
     triple = _trial_triple(ctx, 0)
     if zero_role is not None:
         triple[zero_role] = Functional(Expression.zero(ctx), "Z")

@@ -10,6 +10,7 @@ point.
 """
 
 from .calculus import (
+    Functional,
     euler,
     euler_blocks,
     is_exact,
@@ -29,7 +30,6 @@ from .core import (
     sin,
 )
 from .functional import (
-    Functional,
     functional_eq,
     functional_parity,
     scale_add,

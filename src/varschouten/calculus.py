@@ -1,23 +1,28 @@
-"""Derivatives on graded jet densities.
+"""Derivatives on graded jet densities, and the functionals that keep them.
 
 Implements, on the Leibniz engine core._derive, the directed (left/right)
 partial derivative with respect to a single jet variable, the total
 derivative along an independent coordinate, the directed Euler operator
 sum_sigma (-D)^sigma ∘ d/d(jet of order sigma), and the exactness test
-characterizing total divergences.
+characterizing total divergences.  Functional keeps every derivative of
+its density; euler, euler_blocks and is_exact are views of a fresh one, and
+Functional.is_zero states the exactness rule once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Union
 
 from .core import (
     Expression,
+    FieldContext,
     JetVar,
     _along,
+    _check_side,
     _derive,
     _lower,
-    _partials,
+    _right,
     _sweep,
     eval_zero_section,
     normalize_order,
@@ -37,7 +42,7 @@ def partial(e: Expression, v: JetVar, side: Side = "left") -> Expression:
     """
     ctx = e.ctx
     v = JetVar(ctx.owner(v.owner), normalize_order(ctx, v.order))
-    return _partials(e, v.owner, side).get(v) or Expression.zero(ctx)
+    return _along(ctx, _sweep(e), v.owner, side).get(v) or Expression.zero(ctx)
 
 
 def total_derivative(e: Expression, direction: int = 0) -> Expression:
@@ -65,7 +70,7 @@ def euler_blocks(
     Returns (sigma, block) pairs with nonzero blocks, sigma ascending in
     graded-lexicographic order.  Their sum is euler(e, ref, side).
     """
-    return _blocks(_partials(e, e.ctx.owner(ref), side))
+    return Functional(e).blocks(ref, side)
 
 
 def _blocks(partials: dict) -> list[tuple[tuple, Expression]]:
@@ -86,7 +91,10 @@ def _alternating_total(ctx, pmap: dict, axis: int) -> Expression:
     Folds from the highest order down (A_0 - D(A_1 - D(A_2 - ...))), so each
     direction is differentiated max-order times instead of once per summand.
     Each step A_k - D(acc) is one pass of the Leibniz engine (core._derive).
+    An empty pmap sums to zero.
     """
+    if not pmap:
+        return Expression.zero(ctx)
     if axis == ctx.n_indep:
         return pmap[()]
     groups: dict[int, dict] = {}
@@ -105,16 +113,9 @@ def euler(e: Expression, ref: Union[int, str], side: Side = "left") -> Expressio
     """Directed Euler (variational) derivative with respect to an owner.
 
     Same value as summing euler_blocks, computed with far fewer total
-    derivatives via a nested alternating fold (Functional.euler keeps it).
+    derivatives via a nested alternating fold (see Functional.euler).
     """
-    return _euler(e.ctx, _partials(e, e.ctx.owner(ref), side))
-
-
-def _euler(ctx, partials: dict) -> Expression:
-    """The Euler derivative from one owner's partials {v: d e / dv}."""
-    if not partials:
-        return Expression.zero(ctx)
-    return _alternating_total(ctx, {v.order: d for v, d in partials.items()}, 0)
+    return Functional(e).euler(ref, side)
 
 
 def is_exact(e: Expression) -> bool:
@@ -133,18 +134,103 @@ def is_exact(e: Expression) -> bool:
     e == D(flux) + remainder, so the remainder has e's Euler derivatives
     and constant part, and often far fewer terms.  The verdict does not
     change under a nonzero scalar, so it is computed on the primitive part,
-    whose coefficients are coprime ints.  One sweep gives every owner's
-    partials; the owners' Euler derivatives are folded in order, up to the
-    first that is nonzero.
+    whose coefficients are coprime ints.  The rule itself is
+    Functional.is_zero, applied to a fresh functional of that part.
     """
-    if e.is_zero():
-        return True
-    e = _lower(e)[1].content_and_primitive()[1]
-    ctx, swept = e.ctx, _sweep(e)
-    for owner in range(len(ctx.names)):
-        if not _euler(ctx, _along(ctx, swept, owner, "left")).is_zero():
+    return Functional(_lower(e)[1].content_and_primitive()[1]).is_zero()
+
+
+@dataclass(frozen=True, eq=False)
+class Functional:
+    """A density under an integral sign; equality is modulo total divergences.
+
+    It owns everything derived from its density, in one store behind one
+    memo (_keep): the sweep, each owner's left Euler derivative and blocks,
+    per first strike the first partials' sweeps, and the cells read off
+    them, each made on first use and handed out as kept (do not mutate it).
+    """
+
+    density: Expression
+    label: str = ""
+    _store: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def ctx(self) -> FieldContext:
+        return self.density.ctx
+
+    def _keep(self, key: tuple, make):
+        """The store's entry at key, made by make() on the first ask."""
+        if key not in self._store:
+            self._store[key] = make()
+        return self._store[key]
+
+    @property
+    def sweep(self) -> dict:
+        """Every left partial of the density, all owners in one pass (core._sweep)."""
+        return self._keep(("sweep",), lambda: _sweep(self.density))
+
+    def euler(self, ref: Union[int, str], side: str = "left") -> Expression:
+        """The directed Euler derivative of the functional along an owner.
+
+        It belongs to the functional, not to the density that represents it
+        (E o D = 0).  The left one is folded from the sweep on its first ask
+        and kept; the right one is read off it on each call (core._right).
+        A power past MAX_POWER raises ValueError only along this owner.
+        """
+        _check_side(side)
+        ctx, owner = self.ctx, self.ctx.owner(ref)
+        left = self._keep(("euler", owner), lambda: _alternating_total(
+            ctx, {v.order: d for v, d in _along(ctx, self.sweep, owner, "left").items()}, 0))
+        return left if side == "left" else Expression(ctx, _right(ctx, owner, left.terms))
+
+    def blocks(self, ref: Union[int, str], side: str = "left") -> list:
+        """The Euler blocks along an owner, kept per side (see euler_blocks)."""
+        owner = self.ctx.owner(ref)
+        return self._keep(
+            ("blocks", owner, side), lambda: _blocks(_along(self.ctx, self.sweep, owner, side))
+        )
+
+    def cells(self, w1: Union[int, str], side1: str, w2: Union[int, str], side2: str) -> list:
+        """The mixed second-variation cells: trace.second_variation_cells of
+        the density.  Each is an Euler block, over sigma, of a tau Euler block
+        of a first partial, whose sweep is kept per first strike (w1, side1)."""
+        _check_side(side2)  # side1 is checked by the first strike's _along
+        ctx, w1, w2 = self.ctx, self.ctx.owner(w1), self.ctx.owner(w2)
+        firsts = self._keep(
+            ("firsts", w1, side1),
+            lambda: [(v1, _sweep(d)) for v1, d in _along(ctx, self.sweep, w1, side1).items()],
+        )
+        return self._keep(
+            ("cells", w1, side1, w2, side2),
+            lambda: [
+                ((sigma, tau), value)
+                for v1, sweep in firsts
+                for tau, block in _blocks(_along(ctx, sweep, w2, side2))
+                for sigma, value in _blocks({v1: block})
+            ],
+        )
+
+    def is_zero(self) -> bool:
+        """True iff the functional is zero, i.e. the density is exact.
+
+        The one statement of the exactness rule: a zero density, or every
+        owner's Euler derivative zero (read up to the first that is not) and
+        a zero zero-section value.  It is decided in the free differential
+        algebra (see is_exact), so exp(q)*exp(q) - exp(2*q) gives False.
+        Cost: it reads the kept left Euler derivatives, so after a bracket
+        with a nonzero partner (which reads every owner's) it sweeps nothing;
+        a fresh functional sweeps its density unlowered, and is_exact, which
+        lowers first, is the cheaper test of a fresh density.
+        """
+        if self.density.is_zero():
+            return True
+        if any(not self.euler(owner).is_zero() for owner in range(len(self.ctx.names))):
             return False
-    try:
-        return eval_zero_section(e) == 0
-    except ValueError:
-        return False
+        try:
+            return eval_zero_section(self.density) == 0
+        except ValueError:
+            return False
+
+    def __repr__(self) -> str:
+        name, n = self.label or "functional", len(self.density.terms)
+        return f"<{name}: {n} monomial{'s' if n != 1 else ''}>"

@@ -15,8 +15,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 
-from .calculus import euler, is_exact
-from .functional import Functional
+from .calculus import Functional, euler, is_exact
 from .fuzz import FuzzParams, run_fuzz
 from .schouten import jacobi_defect, schouten_bracket
 from .textio import (

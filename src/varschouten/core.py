@@ -571,12 +571,6 @@ def _along(ctx, swept: dict, owner: int, side: str) -> dict:
     return out
 
 
-def _partials(e: Expression, owner: int, side: str) -> dict:
-    """Every directed partial of e along the jets of one owner, read off a
-    sweep of every owner's: {v: d e / dv}, v ascending."""
-    return _along(e.ctx, _sweep(e), owner, side)
-
-
 def _structural_funcs(ctx: FieldContext, funcs: tuple) -> tuple:
     """Decoded function units, each arg id replaced by its structural key."""
     return tuple((kind, ctx.arg_key(aid), p) for (kind, aid), p in funcs)

@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import is_exact
+from .calculus import Functional, is_exact
 from .core import FUNC_DERIVATIVE, Expression, FieldContext, _func, jet
-from .functional import Functional
 from .schouten import _jacobi_density, _symmetry_density, schouten_bracket
 from .textio import MAX_JET_ORDER, format_density
 

@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 from collections import Counter
@@ -35,7 +36,7 @@ from varschouten import (
     total_derivative,
 )
 from varschouten import core
-from varschouten.core import FUNC_DERIVATIVE, MAX_POWER, _partials, normalize_order, unpack
+from varschouten.core import FUNC_DERIVATIVE, MAX_POWER, _along, _sweep, normalize_order, unpack
 
 
 class TestFieldContext:
@@ -344,7 +345,7 @@ class TestPowerLimit:
                 run = lambda: {None: total_derivative(e).terms}
             else:
                 summands = _summands(m, lambda k: (JetVar(0, (k,)), Counter()))
-                run = lambda: {v: d.terms for v, d in _partials(e, 0, "left").items()}
+                run = lambda: {v: d.terms for v, d in _along(ctx, _sweep(e), 0, "left").items()}
             if max((p for _, _, s in summands for p in s.values()), default=0) > MAX_POWER:
                 with pytest.raises(ValueError, match="larger than"):
                     run()
@@ -635,9 +636,9 @@ class TestDerivationTable:
         assert not self._reads_elsewhere("core.py", private)
 
     def test_no_other_module_reads_private_functional_state(self):
-        # the store and its memo belong to functional.py: the trace and the
-        # brackets read a functional's derivatives through its methods
+        # the store and its memo belong to the module that defines Functional:
+        # the trace and the brackets read its derivatives through its methods
         names = [f.name for f in dataclasses.fields(Functional)] + list(vars(Functional))
         private = {n for n in names if n.startswith("_") and not n.endswith("__")}
         assert {"_store", "_keep"} <= private
-        assert not self._reads_elsewhere("functional.py", private)
+        assert not self._reads_elsewhere(Path(inspect.getfile(Functional)).name, private)

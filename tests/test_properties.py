@@ -26,6 +26,7 @@ from varschouten import (
     exp,
     format_density,
     graded_symmetry_defect,
+    is_exact,
     iterated_derivative,
     jet,
     jet_orders,
@@ -36,8 +37,7 @@ from varschouten import (
     sin,
     total_derivative,
 )
-from varschouten.calculus import _partials
-from varschouten.core import _func, unpack
+from varschouten.core import _along, _func, _sweep, unpack
 from varschouten.fuzz import FuzzParams, random_functional
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -193,6 +193,22 @@ def test_euler_is_the_sum_of_its_blocks(text, max_order, data):
                 assert euler(e, owner, side) == total, (owner, side)
 
 
+@CONTEXTS
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_both_representatives_give_one_verdict(text, max_order, data):
+    # is_exact decides on the lowered primitive part of a density, a fresh
+    # Functional on the density as it stands: one rule, so one verdict, on a
+    # density e, on a divergence D(h) and on D(h) + e
+    ctx = parse_context(text)
+    e, h = _pair(data, ctx, max_order)
+    for d in range(ctx.n_indep):
+        div = total_derivative(h, d)
+        assert is_exact(div)
+        for density in (e, div, div + e):
+            assert is_exact(density) == Functional(density).is_zero()
+
+
 # the contexts beyond the default line: two pairs, a plane, an odd field
 STORE_CONTEXTS = pytest.mark.parametrize(
     "text, max_order",
@@ -286,7 +302,7 @@ def _ask(e: Expression, ask, text: bool):
     show = _texts if text else _decoded
     if ask[0] == "D":
         return show(total_derivative(e, ask[1]))
-    return [(v, show(d)) for v, d in _partials(e, *ask).items()]
+    return [(v, show(d)) for v, d in _along(e.ctx, _sweep(e), *ask).items()]
 
 
 def _derivatives(e: Expression, text: bool, backwards: bool = False) -> dict:

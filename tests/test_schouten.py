@@ -26,7 +26,8 @@ from varschouten import (
     total_derivative,
     zero_functional,
 )
-from varschouten.fuzz import FuzzParams, random_functional, trial_seed
+from varschouten.fuzz import FuzzParams, random_functional, run_fuzz, trial_seed
+from varschouten.schouten import _jacobi_density
 
 
 def test_golden_inner_bracket_value(ctx, golden):
@@ -65,6 +66,29 @@ def test_one_sweep_per_functional(sweeps, ctx):
     graded_symmetry_defect(G, F)
     assert len(sweeps) == 7 + 3
     assert F.euler("q", "right") == euler(F.density, "q", "right")
+
+
+def test_a_bracket_decides_its_verdict_from_the_kept_derivatives(sweeps, ctx):
+    # fuzz's degenerate check asks the inner brackets fg, fh and gh for
+    # is_zero after the outer brackets [[fg,H]], [[G,fh]] and [[F,gh]] have
+    # read every owner's Euler derivatives of each: the verdicts sweep nothing
+    rng = random.Random(trial_seed(2026, 8))
+    F, G, H = (random_functional(ctx, rng, FuzzParams(), r) for r in "FGH")
+    fg, fh, gh = schouten_bracket(F, G), schouten_bracket(F, H), schouten_bracket(G, H)
+    _jacobi_density(F, G, H, fg, fh, gh)
+    before = len(sweeps)
+    verdicts = [X.is_zero() for X in (fg, fh, gh)]
+    assert len(sweeps) == before
+    assert verdicts == [is_exact(X.density) for X in (fg, fh, gh)] == [False, True, False]
+
+
+def test_ten_fuzz_trials_sweep_each_functional_once(sweeps, ctx):
+    # each trial sweeps F, G, H and its three inner brackets as the six
+    # brackets ask, and each of its two defects at most once; the degenerate
+    # check reads the inner brackets' kept derivatives and sweeps nothing
+    report = run_fuzz(ctx, FuzzParams(seed=2026, count=10))
+    assert report["verified"] == 10
+    assert len(sweeps) == 58
 
 
 def test_shifted_parity(ctx, golden):

@@ -77,9 +77,7 @@ def _blocks(partials: dict) -> list[tuple[tuple, Expression]]:
     """The Euler blocks of one owner's partials {v: d e / dv} (see euler_blocks)."""
     blocks = []
     for v, d in partials.items():
-        block = iterated_derivative(d, v.order)
-        if v.degree % 2:
-            block = -block
+        block = _alternating_total(d.ctx, {v.order: d}, 0)
         if not block.is_zero():
             blocks.append((v.order, block))
     return blocks
@@ -130,8 +128,8 @@ def is_exact(e: Expression) -> bool:
     Over base-coordinate-independent densities this is equivalent to all
     Euler derivatives vanishing together with a zero constant part.  The
     test runs on the remainder of core._lower, which integrates the
-    top-order jets of a 1-D density by parts and otherwise leaves e whole:
-    e == D(flux) + remainder, so the remainder has e's Euler derivatives
+    top-order jets of a 1-D density by parts, order by order, as far as it
+    can: e == D(flux) + remainder, so the remainder has e's Euler derivatives
     and constant part, and often far fewer terms.  The verdict does not
     change under a nonzero scalar, so it is computed on the primitive part,
     whose coefficients are coprime ints.  The rule itself is

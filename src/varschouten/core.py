@@ -257,8 +257,8 @@ def _crossings(a: int, b: int) -> int:
 def _overflows(ctx: FieldContext, keys) -> bool:
     """True when a key of keys has a power past MAX_POWER.  Two powers below
     half a slot sum below its guard bit, so callers pass keys only when the
-    OR of their inputs' packed parts, folded into the loops that read the
-    inputs, meets the half-slot bits ctx._guard >> 1."""
+    OR of the packed parts they add up, folded into the loops that read
+    them, meets the guard or half-slot bits."""
     top = ctx._guard
     return any(packed & top for packed, _ in keys)
 
@@ -312,8 +312,8 @@ def _func_summands(ctx, funcs: int, op) -> list:
     monomial (packed, odd) with this function part the summand's key is
     (packed + delta, odd' * odd), and its coefficient is c times the
     monomial's.  A tag whose partial of arg has a power past MAX_POWER gets
-    one summand whose delta is slot 0's guard bit, so that _derive marks the
-    tag as it marks its own overflows.
+    one summand of c 1 whose delta is slot 0's guard bit, so that its key
+    overflows in the tag's terms, where _derive's one test finds it.
     """
     out = []
     for (kind, aid), p in unpack(ctx, (funcs, 0))[1]:
@@ -321,7 +321,7 @@ def _func_summands(ctx, funcs: int, op) -> list:
         lift = ctx._one((dkind, aid)) - ctx._one((kind, aid))
         for tag, terms in _derive(ctx.arg(aid), op).items():
             if terms is None:
-                out.append((tag, 1 << (SLOT_BITS - 1), 0, 0))
+                out.append((tag, 1 << (SLOT_BITS - 1), 0, 1))
                 continue
             for (k_packed, k_odd), c in terms.items():
                 out.append((tag, lift + k_packed, k_odd, p * sgn * c))
@@ -343,22 +343,22 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     act from the left, so the function part, which is even and stands left
     of the odd part, is crossed without a sign.
 
-    A power past MAX_POWER raises ValueError under D_d.  The sweep maps each
-    tag it reaches to None instead, so that an overflow along one owner
-    leaves every other owner's partials readable (see _along).
+    Overflow is one test of the output (_overflows): a tag whose terms hold
+    a power past MAX_POWER raises ValueError under D_d and maps to None
+    under the sweep, leaving every other owner's partials readable (see
+    _along).  Summands past MAX_POWER that cancel are no overflow.
 
     Given a minuend (a term dict the call takes over), the tag None holds
     minuend - D_d e, built in the same pass.
     """
     ctx = e.ctx
     slot_images, bit_images, func_derivs = ctx._derivs.setdefault(op, ({}, {}, {}))
-    fmask, guard = ctx._funcs, ctx._guard
+    fmask = ctx._funcs
     outs: defaultdict = defaultdict(dict)
-    over = set()  # the tags that reach a power past MAX_POWER
     negate = minuend is not None
     if negate:
         outs[None] = minuend
-    held = 0  # the OR of the packed parts of e (see _overflows)
+    held = 0  # the OR of the packed parts that summands add up (see _overflows)
     for (packed, odd), coeff in e.terms.items():
         held |= packed
         if negate:
@@ -378,14 +378,11 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
             got = func_derivs.get(funcs)
             if got is None:
                 got = func_derivs[funcs] = _func_summands(ctx, funcs, op)
-                guard = ctx._guard
             for tag, delta, k_odd, c2 in got:
                 if k_odd & odd:
                     continue
                 q = packed + delta
-                if q & guard:
-                    over.add(tag)
-                    continue
+                held |= q
                 c = coeff * c2
                 if k_odd and odd and _crossings(k_odd, odd) % 2:
                     c = -c
@@ -406,10 +403,9 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
                 swaps += (rest & (up - 1)).bit_count()
                 rest |= up
             _add_term(outs[tag], (packed, rest), -coeff if swaps % 2 else coeff)
-    if held & ctx._guard >> 1:
-        over.update(tag for tag, terms in outs.items() if _overflows(ctx, terms))
-    if over:
-        if op != _SWEEP:
+    if held & (ctx._guard | ctx._guard >> 1):
+        over = [tag for tag, terms in outs.items() if _overflows(ctx, terms)]
+        if over and op != _SWEEP:
             raise ValueError(_TOO_LARGE)
         outs.update(dict.fromkeys(over))
     return outs
@@ -458,11 +454,11 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
     with the sign that D turns back into m.  Every other monomial of D of
     u's picks holds u_{n-1}, which the owners after u may not pick, so all
     owners pick from the remainder as the order began, and the remainder
-    loses D of the order's picks in one _derive pass.  The pass stops after
-    the first order that leaves a monomial of that order.  e comes back
-    whole, with a zero flux, when it has more than one independent
-    coordinate or when a pass raises ValueError (a power past MAX_POWER).
-    e.terms is never edited.
+    loses D of the order's picks in one _derive pass, into a copy of it.
+    The loop ends after the first order that leaves a monomial of that
+    order, or before one whose pass raises ValueError (a power past
+    MAX_POWER), keeping the orders lowered so far.  e comes back whole,
+    with a zero flux, on more than one independent coordinate.
     """
     ctx = e.ctx
     if ctx.n_indep != 1:
@@ -518,9 +514,9 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
         if not picks:
             break
         try:
-            rest = _derive(Expression(ctx, picks), 0, dict(rest) if rest is e.terms else rest)[None]
-        except ValueError:  # a power past MAX_POWER; rest may be half edited
-            return Expression(ctx), e
+            rest = _derive(Expression(ctx, picks), 0, dict(rest))[None]
+        except ValueError:  # a power past MAX_POWER: keep the orders before this one
+            break
         flux.update(picks)  # a pick of order n holds an (n-1)-jet, no later pick does
         units = _held(ctx, rest)
         top = _top(units)

@@ -137,6 +137,7 @@ def test_criterion_5_fuzzed_triples(ctx):
         assert report["trials"] == 100
         assert report["verified"] == 100
         assert report["failures"] == []
+        assert report["degenerate"] == 6
         assert time.perf_counter() - start < 60.0
 
 

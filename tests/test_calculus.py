@@ -632,16 +632,19 @@ class TestLowering:
         assert _lower(e)[1] is e
         assert is_exact(e) is False
 
-    def test_a_later_order_that_overflows_leaves_e_whole(self):
+    def test_a_later_order_that_overflows_keeps_the_orders_before_it(self):
         # order 3 lowers u[3]; order 2's pass, D of v[1]*exp(b^30000)*b^2769,
-        # raises after editing the remainder it took over, so none of it may
-        # come back
+        # raises, so the lowering ends with order 3's flux and the remainder
+        # as it stood before that pass
         ctx = parse_context(_PAIRS)
         b = jet(ctx, "b")
-        e = parse_density("u[3] + u[2]^2", ctx) + exp(b**30000) * b**2769 * jet(ctx, "v", 2)
+        tail = exp(b**30000) * b**2769 * jet(ctx, "v", 2)
+        e = parse_density("u[3] + u[2]^2", ctx) + tail
         before = dict(e.terms)
         flux, rest = _lower(e)
-        assert flux.is_zero() and rest is e and e.terms == before
+        assert flux == jet(ctx, "u", 2)
+        assert rest == parse_density("u[2]^2", ctx) + tail
+        assert total_derivative(flux) + rest == e and e.terms == before
         assert is_exact(e) is False
 
     def test_an_overflow_stays_with_its_owner(self):

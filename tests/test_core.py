@@ -326,6 +326,18 @@ class TestPowerLimit:
             "16000*q^15999*q[1]*exp(q^16000) + 16000*q^31999*q[1]*exp(q^16000)"
         )
 
+    def test_overflowing_summands_that_cancel_raise_nothing(self, ctx):
+        # the chain rule's two q^39999 summands cancel, so every derivative
+        # of e is representable: overflow is read off the output keys
+        q, p = jet(ctx, "q"), jet(ctx, "p")
+        E = exp(-(q**20000)) * exp(q**20000)
+        e = exp(q**20000) * exp(-(q**20000)) * q**20000 * p
+        assert total_derivative(e) == (
+            20000 * q**19999 * jet(ctx, "q", 1) * E * p + q**20000 * E * jet(ctx, "p", 1)
+        )
+        assert partial(e, JetVar(0, (0,))) == 20000 * q**19999 * E * p
+        assert euler(e, "q") == 20000 * q**19999 * E * p
+
     @pytest.mark.parametrize("op", ["product", "D", "sweep"])
     def test_seeded_sweep_near_the_slot_limit(self, ctx, op):
         # every result either raises or holds the exact power sums, with no

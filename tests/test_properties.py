@@ -180,13 +180,15 @@ def test_partial_graded_leibniz_rule_both_sides(text, max_order, data):
 @hypothesis.given(data=st.data())
 def test_euler_is_the_sum_of_its_blocks(text, max_order, data):
     # euler folds A_0 - D(A_1 - D(A_2 - ...)) one axis inside another, each
-    # step one pass of the Leibniz engine; euler_blocks applies D^sigma to
-    # each partial on its own
+    # step one pass of the Leibniz engine; euler_blocks runs the same fold
+    # on each partial on its own, so the blocks are also checked against
+    # D^sigma applied by iterated_derivative
     ctx = parse_context(text)
     a, b = _pair(data, ctx, max_order)
     for e in (a, a * b + b):
         for owner in range(len(ctx.names)):
             for side in ("left", "right"):
+                assert euler_blocks(e, owner, side) == _blocks_by_hand(e, owner, side)
                 total = Expression.zero(ctx)
                 for _, block in euler_blocks(e, owner, side):
                     total = total + block
@@ -239,6 +241,17 @@ def test_a_functional_keeps_the_euler_derivatives(text, max_order, data):
                     for _, block in euler_blocks(e, owner, side):
                         total = total + block
                     assert euler(e, owner, side) == total == F.euler(owner, side), (owner, side)
+
+
+def _blocks_by_hand(e: Expression, w: int, side: str) -> list:
+    """euler_blocks from public derivatives: (-1)^|sigma| D^sigma of each
+    partial along w, sigma in graded-lex order, zero blocks left out."""
+    out = []
+    for sigma in sorted(jet_orders(e, w), key=lambda o: (sum(o), o)):
+        block = iterated_derivative(partial(e, JetVar(w, sigma), side), sigma)
+        if not block.is_zero():
+            out.append((sigma, -block if sum(sigma) % 2 else block))
+    return out
 
 
 def _cells_by_hand(e: Expression, w1: int, s1: str, w2: int, s2: str) -> list:

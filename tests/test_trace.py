@@ -311,6 +311,28 @@ def test_fuzzed_trace_plain_is_byte_stable(text, max_jet_order, json_digests, pl
     assert _fuzzed_digests(text, max_jet_order, len(plain_digests), "plain") == plain_digests
 
 
+def test_twelve_fuzzed_trials_per_context_are_byte_stable():
+    # the plain then the JSON report of seed-2026 trials 0-11 in each context,
+    # hashed as one byte stream (6,879,147 bytes)
+    digest = hashlib.sha256()
+    for text, max_jet_order in [
+        ("indep x\nfield q even antifield p\n", 2),
+        ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 1),
+        ("indep x y\nfield q even antifield p\n", 1),
+        ("indep t\nfield psi odd antifield chi\n", 1),
+    ]:
+        ctx = parse_context(text)
+        params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
+        for index in range(12):
+            rng = random.Random(trial_seed(2026, index))
+            report = expand_trace(*(random_functional(ctx, rng, params, r) for r in "FGH"))
+            for style in ("plain", "json"):
+                digest.update(format_trace_report(report, style).encode())
+    assert digest.hexdigest() == (
+        "b6fb6e6d230c3e9aaf87a79c8a34df691069664cd99e535e5ae98156ecaea4e5"
+    )
+
+
 def _trial_triple(ctx, index):
     rng = random.Random(trial_seed(2026, index))
     return [random_functional(ctx, rng, FuzzParams(seed=2026), r) for r in "FGH"]

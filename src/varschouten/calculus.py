@@ -6,7 +6,7 @@ derivative along an independent coordinate, the directed Euler operator
 sum_sigma (-D)^sigma ∘ d/d(jet of order sigma), and the exactness test
 characterizing total divergences.  Functional keeps every derivative of
 its density; euler, euler_blocks and is_exact are views of a fresh one, and
-Functional.is_zero states the exactness rule once.
+Functional.is_zero is the one place exactness is decided.
 """
 
 from __future__ import annotations
@@ -117,25 +117,9 @@ def euler(e: Expression, ref: Union[int, str], side: Side = "left") -> Expressio
 
 
 def is_exact(e: Expression) -> bool:
-    """True iff e is a total divergence in the free differential algebra.
-
-    exp, sin and cos are free symbols of their arguments there, tied to them
-    only by the chain rule: no identity between them is applied, so a
-    density that vanishes only through such an identity, such as
-    exp(q)*exp(q) - exp(2*q) or sin(2*q) - 2*sin(q)*cos(q), is not exact.
-    An exact density is exact as a function as well.
-
-    Over base-coordinate-independent densities this is equivalent to all
-    Euler derivatives vanishing together with a zero constant part.  The
-    test runs on the remainder of core._lower, which integrates the
-    top-order jets of a 1-D density by parts, order by order, as far as it
-    can: e == D(flux) + remainder, so the remainder has e's Euler derivatives
-    and constant part, and often far fewer terms.  The verdict does not
-    change under a nonzero scalar, so it is computed on the primitive part,
-    whose coefficients are coprime ints.  The rule itself is
-    Functional.is_zero, applied to a fresh functional of that part.
-    """
-    return Functional(_lower(e)[1].content_and_primitive()[1]).is_zero()
+    """True iff e is a total divergence: Functional(e).is_zero(), which
+    states the rule and lowers e first (see Functional.is_zero)."""
+    return Functional(e).is_zero()
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +128,9 @@ class Functional:
 
     It owns everything derived from its density, in one store behind one
     memo (_keep): the sweep, each owner's left Euler derivative and blocks,
-    per first strike the first partials' sweeps, and the cells read off
-    them, each made on first use and handed out as kept (do not mutate it).
+    per first strike the first partials' sweeps, the cells read off them,
+    and the lowered functional that is_zero judges, each made on first use
+    and handed out as kept (do not mutate it).
     """
 
     density: Expression
@@ -211,21 +196,37 @@ class Functional:
     def is_zero(self) -> bool:
         """True iff the functional is zero, i.e. the density is exact.
 
-        The one statement of the exactness rule: a zero density, or every
-        owner's Euler derivative zero (read up to the first that is not) and
-        a zero zero-section value.  It is decided in the free differential
-        algebra (see is_exact), so exp(q)*exp(q) - exp(2*q) gives False.
-        Cost: it reads the kept left Euler derivatives, so after a bracket
-        with a nonzero partner (which reads every owner's) it sweeps nothing;
-        a fresh functional sweeps its density unlowered, and is_exact, which
-        lowers first, is the cheaper test of a fresh density.
+        The one place exactness is decided.  Over base-coordinate-independent
+        densities a density is exact iff it is zero, or every owner's Euler
+        derivative (read up to the first that is not zero) and its
+        zero-section value are zero.  This holds in the free differential
+        algebra, where exp, sin and cos are free symbols of their arguments,
+        tied to them only by the chain rule: a density that vanishes only
+        through an identity between them, such as exp(q)*exp(q) - exp(2*q)
+        or sin(2*q) - 2*sin(q)*cos(q), is not exact.  An exact density is
+        exact as a function as well.
+
+        It judges itself when every owner's left Euler derivative is kept,
+        as after a bracket with a nonzero partner, and then sweeps nothing.
+        Otherwise it judges a kept functional of the primitive part of
+        core._lower's remainder: density == D(flux) + remainder, so the
+        remainder has the same Euler derivatives and zero-section value,
+        often on far fewer terms, and no nonzero scalar changes the verdict.
+        The flux is not kept.
         """
-        if self.density.is_zero():
+        owners = range(len(self.ctx.names))
+        judged = self
+        if any(("euler", owner) not in self._store for owner in owners):
+            judged = self._keep(
+                ("lowered",),
+                lambda: Functional(_lower(self.density)[1].content_and_primitive()[1]),
+            )
+        if judged.density.is_zero():
             return True
-        if any(not self.euler(owner).is_zero() for owner in range(len(self.ctx.names))):
+        if any(not judged.euler(owner).is_zero() for owner in owners):
             return False
         try:
-            return eval_zero_section(self.density) == 0
+            return eval_zero_section(judged.density) == 0
         except ValueError:
             return False
 

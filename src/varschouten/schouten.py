@@ -70,7 +70,7 @@ def jacobi_defect(F: Functional, G: Functional, H: Functional) -> Functional:
     """Left side minus right side of the shifted-graded Jacobi identity.
 
     Assembles [[F,[[G,H]]]] - [[[[F,G]],H]] - (-1)^((|F|-1)(|G|-1)) [[G,[[F,H]]]]
-    at density level; callers test the result against zero with functional_eq.
+    at density level; callers test the result against zero with .is_zero().
     """
     fg = schouten_bracket(F, G)
     fh = schouten_bracket(F, H)

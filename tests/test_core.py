@@ -23,6 +23,7 @@ from varschouten import (
     exp,
     format_density,
     functional_eq,
+    is_exact,
     iterated_derivative,
     jet,
     jet_orders,
@@ -338,6 +339,23 @@ class TestPowerLimit:
         assert partial(e, JetVar(0, (0,))) == 20000 * q**19999 * E * p
         assert euler(e, "q") == 20000 * q**19999 * E * p
 
+    def test_an_overflow_inside_a_function_argument_raises(self, ctx):
+        # the limit: D of the argument A holds q^39999, and a function
+        # argument's derivative is taken whole, so e is refused although
+        # the outer chain-rule summands cancel (D(e) is exp(A)*exp(-A)*p[1])
+        q, p = jet(ctx, "q"), jet(ctx, "p")
+        A = exp(q**20000) * q**20000
+        e = exp(A) * exp(-A) * p
+        reads = [
+            lambda: total_derivative(e),
+            lambda: partial(e, JetVar(0, (0,))),
+            lambda: is_exact(e),
+        ]
+        refusal = f"^a power in a monomial is larger than {MAX_POWER}$"
+        for read in reads:
+            with pytest.raises(ValueError, match=refusal):
+                read()
+
     @pytest.mark.parametrize("op", ["product", "D", "sweep"])
     def test_seeded_sweep_near_the_slot_limit(self, ctx, op):
         # every result either raises or holds the exact power sums, with no
@@ -641,6 +659,32 @@ class TestDerivationTable:
                 if isinstance(node, ast.Attribute) and node.attr in private
             ]
         return reads
+
+    def test_only_functional_is_zero_lowers(self):
+        # exactness is decided in one place: outside core, the lowering is
+        # read only in Functional.is_zero, and imported only by its module
+        home = Path(inspect.getfile(Functional)).name
+        inside, elsewhere = [], []
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            if path.name == "core.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            judge = {
+                id(node)
+                for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "Functional"
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "is_zero"
+                for node in ast.walk(fn)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.alias) and node.name == "_lower":
+                    if path.name != home:
+                        elsewhere.append(f"{path.name}:{node.lineno} import")
+                elif "_lower" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    where = inside if id(node) in judge else elsewhere
+                    where.append(f"{path.name}:{node.lineno}")
+        assert len(inside) == 1 and not elsewhere, elsewhere
 
     def test_no_other_module_reads_private_context_state(self):
         private = {n for n in vars(FieldContext(("x",), [("q", "p", 0)])) if n.startswith("_")}

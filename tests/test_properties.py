@@ -199,16 +199,21 @@ def test_euler_is_the_sum_of_its_blocks(text, max_order, data):
 @SETTINGS
 @hypothesis.given(data=st.data())
 def test_both_representatives_give_one_verdict(text, max_order, data):
-    # is_exact decides on the lowered primitive part of a density, a fresh
-    # Functional on the density as it stands: one rule, so one verdict, on a
-    # density e, on a divergence D(h) and on D(h) + e
+    # Functional.is_zero judges a fresh functional, such as is_exact's, on
+    # the lowered primitive part of its density, and one whose every owner's
+    # Euler derivative is already read on the density as it stands: one
+    # rule, so one verdict, on a density e, on a divergence D(h) and on
+    # D(h) + e
     ctx = parse_context(text)
     e, h = _pair(data, ctx, max_order)
     for d in range(ctx.n_indep):
         div = total_derivative(h, d)
         assert is_exact(div)
         for density in (e, div, div + e):
-            assert is_exact(density) == Functional(density).is_zero()
+            unlowered = Functional(density)
+            for owner in range(len(ctx.names)):
+                unlowered.euler(owner)
+            assert is_exact(density) == unlowered.is_zero()
 
 
 # the contexts beyond the default line: two pairs, a plane, an odd field

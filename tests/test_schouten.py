@@ -82,6 +82,32 @@ def test_a_bracket_decides_its_verdict_from_the_kept_derivatives(sweeps, ctx):
     assert verdicts == [is_exact(X.density) for X in (fg, fh, gh)] == [False, True, False]
 
 
+def test_a_fresh_functional_sweeps_its_lowered_remainder(sweeps, ctx, golden):
+    # with no Euler derivative kept, is_zero sweeps the primitive part of the
+    # lowered remainder, kept in the store: the golden defect's 38 terms lower
+    # to 4, and criterion-5 trial 51's 3,944 to 77; a second ask sweeps nothing
+    with sweeps.paused():
+        rng = random.Random(trial_seed(2026, 51))
+        drawn = (random_functional(ctx, rng, FuzzParams(), r) for r in "FGH")
+        trial = [Functional(X.density.content_and_primitive()[1]) for X in drawn]
+        defects = [jacobi_defect(*golden).density, jacobi_defect(*trial).density]
+    assert [len(d.terms) for d in defects] == [38, 3944]
+    for density, want in zip(defects, ([4], [77])):
+        del sweeps[:]
+        defect = Functional(density)
+        assert defect.is_zero()
+        assert sweeps == want
+        assert defect.is_zero()
+        assert sweeps == want
+
+
+def test_a_divergence_sweeps_nothing(sweeps, ctx):
+    # D(h) lowers to a zero remainder, which is judged zero before any sweep
+    h = parse_density("p*q[1]*exp(q) + q[2]*p[1]", ctx)
+    assert Functional(total_derivative(h)).is_zero()
+    assert sweeps == []
+
+
 def test_ten_fuzz_trials_sweep_each_functional_once(sweeps, ctx):
     # each trial sweeps F, G, H and its three inner brackets as the six
     # brackets ask, and each of its two defects at most once; the degenerate

@@ -209,10 +209,10 @@ class Functional:
         It judges itself when every owner's left Euler derivative is kept,
         as after a bracket with a nonzero partner, and then sweeps nothing.
         Otherwise it judges a kept functional of the primitive part of
-        core._lower's remainder: density == D(flux) + remainder, so the
-        remainder has the same Euler derivatives and zero-section value,
-        often on far fewer terms, and no nonzero scalar changes the verdict.
-        The flux is not kept.
+        core._lower's remainder, on any number of coordinates: density ==
+        sum_a D_a(fluxes[a]) + remainder, so the remainder has the same
+        Euler derivatives and zero-section value, often on far fewer terms,
+        and no nonzero scalar changes the verdict.  The fluxes are not kept.
         """
         owners = range(len(self.ctx.names))
         judged = self

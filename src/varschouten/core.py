@@ -78,14 +78,15 @@ class FieldContext:
     Owners are numbered in declaration order: the k-th field is 2k and its
     antifield 2k+1, whose parity is the field parity flipped.  The
     context also owns the hash-cons table for function-factor arguments
-    (with _arg_orders, aligned with _args: each argument's top jet order,
-    fixed when it is interned, after the arguments inside it), the
-    numbering of packed monomial keys (a slot per even jet or function unit,
-    a bit per odd jet), and _derivs, the derivation table of the Leibniz
-    engine: per derivation op (a direction d for the total derivative D_d,
-    or _SWEEP for the one sweep of every owner's left partials) three dicts,
-    slot shift -> image, odd bit -> image and function part -> chain-rule
-    summands, each filled once per context when _derive first meets its key.
+    (with _arg_orders, aligned with _args: each argument's top jet order
+    along each axis, fixed when it is interned, after the arguments inside
+    it), the numbering of packed monomial keys (a slot per even jet or
+    function unit, a bit per odd jet), and _derivs, the derivation table of
+    the Leibniz engine: per derivation op (a direction d for the total
+    derivative D_d, or _SWEEP for the one sweep of every owner's left
+    partials) three dicts, slot shift -> image, odd bit -> image and
+    function part -> chain-rule summands, each filled once per context when
+    _derive first meets its key.
     """
 
     def __init__(
@@ -121,7 +122,7 @@ class FieldContext:
         # hash-cons storage for function-factor arguments
         self._args: list[Expression] = []
         self._arg_keys: list[tuple] = []
-        self._arg_orders: list[int] = []
+        self._arg_orders: list[Order] = []
         self._arg_index: dict[tuple, int] = {}
         # Packed keys (see _one): the unit of each slot, the odd jet of each
         # bit, one power of each unit as a key part, the mask of the function
@@ -181,7 +182,7 @@ class FieldContext:
             idx = len(self._args)
             self._args.append(arg)
             self._arg_keys.append(key)
-            self._arg_orders.append(_top(_held(self, arg.terms)))
+            self._arg_orders.append(_top_orders(self, _held(self, arg.terms)))
             self._arg_index[key] = idx
         return idx
 
@@ -414,8 +415,9 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
 def _held(ctx, terms: dict) -> list:
     """Every unit that the keys of terms hold, as (slot mask, odd mask, order,
     owner): an even jet or function unit has its slot's mask in packed and odd
-    mask 0, an odd jet slot mask 0 and its bit.  A function unit has owner
-    None and its argument's top jet order."""
+    mask 0, an odd jet slot mask 0 and its bit.  A jet's order is its
+    multi-index; a function unit has owner None and, as its order, its
+    argument's top jet order along each axis (FieldContext._arg_orders)."""
     packed = odd = 0
     for p, o in terms:
         packed |= p
@@ -423,74 +425,81 @@ def _held(ctx, terms: dict) -> list:
     even, funcs, odds, _ = unpack(ctx, (packed, odd))
     full, ones = (1 << SLOT_BITS) - 1, ctx._ones
     return [
-        *((ones[v] * full, 0, v.degree, v.owner) for v, _ in even),
+        *((ones[v] * full, 0, v.order, v.owner) for v, _ in even),
         *((ones[f] * full, 0, ctx._arg_orders[f[1]], None) for f, _ in funcs),
-        *((0, ones[v], v.degree, v.owner) for v in odds),
+        *((0, ones[v], v.order, v.owner) for v in odds),
     ]
 
 
-def _top(units: list) -> int:
-    """The top jet order of what _held returns, function arguments included."""
-    return max((o for _, _, o, _ in units), default=0)
+def _top_orders(ctx, units: list) -> Order:
+    """The top jet order along each axis of what _held returns, function
+    arguments included."""
+    return tuple(max((o[a] for _, _, o, _ in units), default=0) for a in range(ctx.n_indep))
 
 
-def _lower(e: Expression) -> tuple[Expression, Expression]:
-    """Integrate the top-order jets of a 1-D density by parts: (flux, remainder).
+def _lower(e: Expression) -> tuple[tuple[Expression, ...], Expression]:
+    """Integrate a density by parts, axis by axis: (fluxes, remainder).
 
-    e == D(flux) + remainder canonically, so the remainder has e's Euler
-    operators (E o D = 0) and e's zero-section value (every monomial of D(h)
-    has a jet outside any function factor).  From the top jet order n down to
-    1, and per owner u in index order, every monomial m = c*B*u_{n-1}^k*u_n
-    of the remainder is picked in which u_n stands once outside any function
-    factor and
-      - no other jet has order n or more, inside function arguments or not;
-      - no function argument reaches order n-1, so D of B raises no jet
-        inside a function factor to order n;
-      - no owner before u has an (n-1)-jet, so D of the flux raises no order-n
-        jet of an owner lowered before u at this order;
+    e == sum_a D_a(fluxes[a]) + remainder canonically, so the remainder has
+    e's Euler operators (E o D_a = 0) and e's zero-section value (every
+    monomial of D_a(h) has a jet outside any function factor).  D_a raises
+    only entry a of a multi-index, so along axis a a jet u_sigma is read as
+    the jet of order sigma_a of its virtual owner (u, sigma without entry a),
+    and the rules below are those of one coordinate.  Axis 0 is lowered
+    first, then axis 1 on what is left, and so on: D_b raises no entry but
+    b, so a later axis undoes nothing of an earlier one, nor raises the top
+    order along another axis.
+
+    Along axis a, from the top order down to 1, and per virtual owner u in
+    sorted order, every monomial m = c*B*u_{n-1}^k*u_n of the remainder is
+    picked in which u_n stands once outside any function factor and
+      - no other jet has order n or more along a, inside function
+        arguments or not;
+      - no function argument reaches order n-1 along a, so D_a of B raises
+        no jet inside a function factor to order n;
+      - no virtual owner before u has an (n-1)-jet, so D_a of the flux
+        raises no order-n jet of one lowered before u at this order;
       - for an odd u, u_{n-1} does not appear;
       - no power reaches half a slot, so k < MAX_POWER.
-    A pick adds c/(k+1)*B*u_{n-1}^(k+1) to the flux, for an odd u B*u_{n-1}
-    with the sign that D turns back into m.  Every other monomial of D of
-    u's picks holds u_{n-1}, which the owners after u may not pick, so all
-    owners pick from the remainder as the order began, and the remainder
-    loses D of the order's picks in one _derive pass, into a copy of it.
-    The loop ends after the first order that leaves a monomial of that
-    order, or before one whose pass raises ValueError (a power past
-    MAX_POWER), keeping the orders lowered so far.  e comes back whole,
-    with a zero flux, on more than one independent coordinate.
+    A pick adds c/(k+1)*B*u_{n-1}^(k+1) to fluxes[a], for an odd u
+    B*u_{n-1} with the sign that D_a turns back into m.  Every other
+    monomial of D_a of u's picks holds u_{n-1}, which the virtual owners
+    after u may not pick, so all of them pick from the remainder as the
+    order began, and the remainder loses D_a of the order's picks in one
+    _derive pass, into a copy of it.  Every order is lowered, whatever the
+    one before it left; a pass that raises ValueError (a power past
+    MAX_POWER) ends the lowering, keeping the passes before it.
     """
     ctx = e.ctx
-    if ctx.n_indep != 1:
-        return Expression(ctx), e
     full = (1 << SLOT_BITS) - 1
-    flux: dict = {}
+    fluxes = [{} for _ in ctx.indep]
     rest = e.terms
     units = _held(ctx, rest)
-    n = _top(units)
-    while n:
+    steps = [(a, n) for a, top in enumerate(_top_orders(ctx, units)) for n in range(top, 0, -1)]
+    for a, n in steps:
         # high: what no pick may hold beyond its u_n (any power past half a
-        # slot included); low: the (n-1)-jets per owner; tops: the owner of
-        # each held u_n by its key part, one power of it
+        # slot included); low: the (n-1)-jets per virtual owner; tops: the
+        # virtual owner of each held u_n by its key part, one power of it
         high_p, high_o = ctx._guard >> 1, 0
-        low_p, low_o = [0] * len(ctx.names), [0] * len(ctx.names)
+        low_p, low_o = defaultdict(int), defaultdict(int)
         tops = {}
-        for mp, mo, o, w in units:
+        for mp, mo, order, w in units:
+            o, u = order[a], (w, order[:a] + order[a + 1 :])
             if o >= n or (w is None and o >= n - 1):
                 high_p |= mp
                 high_o |= mo
                 if o == n and w is not None:
-                    tops[(mp & -mp, mo)] = w
+                    tops[(mp & -mp, mo)] = u
             elif o == n - 1:
-                low_p[w] |= mp
-                low_o[w] |= mo
-        # a pick of u may hold no (n-1)-jet of an owner before u, nor u_{n-1}
-        # when u is odd (an odd u's (n-1)-jet is an odd bit)
-        guards, guard_p, guard_o = [], 0, 0
-        for w in range(len(ctx.names)):
-            guard_o |= low_o[w]
-            guards.append((guard_p, guard_o))
-            guard_p |= low_p[w]
+                low_p[u] |= mp
+                low_o[u] |= mo
+        # a pick of u may hold no (n-1)-jet of a virtual owner before u, nor
+        # u_{n-1} when u is odd (an odd u's (n-1)-jet is an odd bit)
+        guards, guard_p, guard_o = {}, 0, 0
+        for u in sorted(low_p.keys() | tops.values()):
+            guard_o |= low_o[u]
+            guards[u] = (guard_p, guard_o)
+            guard_p |= low_p[u]
         lows: dict = {}
         picks: dict = {}
         for (packed, odd), c in rest.items():
@@ -503,7 +512,8 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
                 continue
             low = lows.get(u)
             if low is None:
-                low = lows[u] = ctx._one(JetVar(u, (n - 1,)))
+                w, rim = u
+                low = lows[u] = ctx._one(JetVar(w, rim[:a] + (n - 1,) + rim[a:]))
             if top_o:
                 kept = odd ^ top_o
                 swaps = (kept & (low - 1)).bit_count() + (kept & (top_o - 1)).bit_count()
@@ -512,18 +522,15 @@ def _lower(e: Expression) -> tuple[Expression, Expression]:
                 k = (packed >> (low.bit_length() - 1)) & full
                 picks[(packed - top_p + low, odd)] = _demote(Fraction(c, k + 1)) if k else c
         if not picks:
-            break
+            continue
         try:
-            rest = _derive(Expression(ctx, picks), 0, dict(rest))[None]
-        except ValueError:  # a power past MAX_POWER: keep the orders before this one
+            rest = _derive(Expression(ctx, picks), a, dict(rest))[None]
+        except ValueError:  # a power past MAX_POWER: keep the passes before this one
             break
-        flux.update(picks)  # a pick of order n holds an (n-1)-jet, no later pick does
+        fluxes[a].update(picks)  # a pick of order n holds an (n-1)-jet, no later pick does
         units = _held(ctx, rest)
-        top = _top(units)
-        if top >= n:
-            break
-        n = top
-    return Expression(ctx, flux), e if rest is e.terms else Expression(ctx, rest)
+    flux = tuple(Expression(ctx, f) for f in fluxes)
+    return flux, e if rest is e.terms else Expression(ctx, rest)
 
 
 def _sweep(e: Expression) -> dict:
@@ -646,7 +653,8 @@ class Expression:
         return seen.pop()
 
     def max_jet_order(self) -> int:
-        return _top(_held(self.ctx, self.terms))
+        """The top total order of the jets of the density, function arguments included."""
+        return max((v.degree for v in _jets(self)), default=0)
 
     # -- ring operations ----------------------------------------------------
 

@@ -686,6 +686,17 @@ class TestDerivationTable:
                     where.append(f"{path.name}:{node.lineno}")
         assert len(inside) == 1 and not elsewhere, elsewhere
 
+    def test_the_lowering_has_no_dimension_branch(self):
+        # one lowering for every dimension, with one coordinate as the
+        # one-axis case: _lower never asks how many coordinates there are
+        tree = ast.parse(inspect.getsource(core._lower))
+        reads = [
+            node.lineno
+            for node in ast.walk(tree)
+            if "n_indep" in (getattr(node, "id", None), getattr(node, "attr", None))
+        ]
+        assert not reads
+
     def test_no_other_module_reads_private_context_state(self):
         private = {n for n in vars(FieldContext(("x",), [("q", "p", 0)])) if n.startswith("_")}
         assert "_derivs" in private

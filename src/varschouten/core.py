@@ -13,10 +13,11 @@ arguments (always parity-even) are interned per context so that equal
 arguments share one id and powers of equal factors merge.
 
 A monomial is keyed by two ints (see "packed monomial keys" below): a
-product of monomials is one integer addition and a popcount sign, and only
-rendering and identity decode a key, through unpack, which returns every part
-of a monomial in its display order.  The Leibniz engine that differentiates
-keys (_derive) lives beside them, so this module is the key format's one owner.
+product of monomials is one integer addition and a popcount sign.  Only
+unpack decodes a key, into every part in display order, for rendering,
+identity, _held, eval_zero_section and _jets.  The Leibniz engine that
+differentiates keys (_derive) lives beside them, so this module is the key
+format's one owner.
 """
 
 from __future__ import annotations
@@ -84,9 +85,8 @@ class FieldContext:
     function unit, a bit per odd jet), and _derivs, the derivation table of
     the Leibniz engine: per derivation op (a direction d for the total
     derivative D_d, or _SWEEP for the one sweep of every owner's left
-    partials) three dicts, slot shift -> image, odd bit -> image and
-    function part -> chain-rule summands, each filled once per context when
-    _derive first meets its key.
+    partials) two dicts, slot shift -> _slot_image and odd bit -> _image,
+    each filled once per context when _derive first meets its unit.
     """
 
     def __init__(
@@ -132,8 +132,7 @@ class FieldContext:
         self._ones: dict = {}
         self._funcs = 0
         self._guard = 0
-        # The derivation table of _derive: op -> (slot shift -> (tag, delta),
-        # odd bit -> _image, function part -> _func_summands).
+        # _derive's table: op -> (slot shift -> _slot_image, odd bit -> _image)
         self._derivs: dict = {}
 
     def _add_owner(self, name: str, parity: int) -> int:
@@ -305,27 +304,32 @@ def _image(ctx, jv: JetVar, op):
     return None, ctx._one(JetVar(jv.owner, order[:op] + (order[op] + 1,) + order[op + 1 :]))
 
 
-def _func_summands(ctx, funcs: int, op) -> list:
-    """[(tag, delta, odd', c)]: the chain-rule summands of op on one function part.
+def _slot_image(ctx, shift: int, op):
+    """The image of the unit in one slot of packed under the derivation op.
 
-    A unit f(arg)^p gives p f'(arg) f(arg)^(p-1) times each monomial k2 of the
-    derivative of arg, placed in front of the rest of the monomial: for a
-    monomial (packed, odd) with this function part the summand's key is
-    (packed + delta, odd' * odd), and its coefficient is c times the
-    monomial's.  A tag whose partial of arg has a power past MAX_POWER gets
-    one summand of c 1 whose delta is slot 0's guard bit, so that its key
-    overflows in the tag's terms, where _derive's one test finds it.
+    An even jet's is (tag, delta): one power lowered, its image (_image)
+    raised.  A function unit f(arg)'s is its chain-rule summands
+    [(tag, delta, odd', c)] without the power: f(arg)^p gives p f'(arg)
+    f(arg)^(p-1) times each monomial k2 of the derivative of arg, in front of
+    a monomial (packed, odd), as the key (packed + delta, odd' * odd) with
+    p * c times its coefficient.  A tag whose partial of arg has a power past
+    MAX_POWER gets one summand of c 1 whose delta is slot 0's guard bit, so
+    that its key overflows where _derive's one test finds it.
     """
+    unit = ctx._units[shift // SLOT_BITS]
+    if isinstance(unit, JetVar):
+        tag, up = _image(ctx, unit, op)
+        return tag, up - (1 << shift)
+    kind, aid = unit
+    dkind, sgn = FUNC_DERIVATIVE[kind]
+    lift = ctx._one((dkind, aid)) - (1 << shift)
     out = []
-    for (kind, aid), p in unpack(ctx, (funcs, 0))[1]:
-        dkind, sgn = FUNC_DERIVATIVE[kind]
-        lift = ctx._one((dkind, aid)) - ctx._one((kind, aid))
-        for tag, terms in _derive(ctx.arg(aid), op).items():
-            if terms is None:
-                out.append((tag, 1 << (SLOT_BITS - 1), 0, 1))
-                continue
-            for (k_packed, k_odd), c in terms.items():
-                out.append((tag, lift + k_packed, k_odd, p * sgn * c))
+    for tag, terms in _derive(ctx.arg(aid), op).items():
+        if terms is None:
+            out.append((tag, 1 << (SLOT_BITS - 1), 0, 1))
+            continue
+        for (k_packed, k_odd), c in terms.items():
+            out.append((tag, lift + k_packed, k_odd, sgn * c))
     return out
 
 
@@ -335,14 +339,14 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     op is a direction d for the total derivative D_d, whose one tag is None,
     or _SWEEP for the sweep of every owner's left partials in one pass,
     tagged by the struck jet.  The loop does not tell them apart: per
-    monomial (packed, odd), each even jet adds its slot's delta to packed,
-    one power lowered and its image (see _image) raised.  Each odd jet moves
-    to the left end, (-1)^(odd bits below it), and its image moves back into
-    place, (-1)^(odd bits below that).  The images and the function part's
-    summands come from the context's table for op (ctx._derivs): jets and
-    parts repeat across nearly every monomial and call.  Both derivations
-    act from the left, so the function part, which is even and stands left
-    of the odd part, is crossed without a sign.
+    monomial (packed, odd), each even unit of power p adds p times its
+    slot's image (_slot_image): a jet's delta or a function unit's
+    chain-rule summands.  Each odd jet moves to the left end, (-1)^(odd bits
+    below it), and its image moves back into place, (-1)^(odd bits below
+    that).  The images come from the context's tables for op (ctx._derivs):
+    units repeat across nearly every monomial and call.  Both derivations act
+    from the left, so a function unit, which is even and stands left of the
+    odd part, is crossed without a sign.
 
     Overflow is one test of the output (_overflows): a tag whose terms hold
     a power past MAX_POWER raises ValueError under D_d and maps to None
@@ -353,8 +357,7 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
     minuend - D_d e, built in the same pass.
     """
     ctx = e.ctx
-    slot_images, bit_images, func_derivs = ctx._derivs.setdefault(op, ({}, {}, {}))
-    fmask = ctx._funcs
+    slot_images, bit_images = ctx._derivs.setdefault(op, ({}, {}))
     outs: defaultdict = defaultdict(dict)
     negate = minuend is not None
     if negate:
@@ -364,27 +367,23 @@ def _derive(e: Expression, op, minuend: dict | None = None) -> dict:
         held |= packed
         if negate:
             coeff = -coeff
-        funcs = packed & fmask
-        x = packed ^ funcs
-        while x:  # the jets' slots, highest first, as in unpack
+        x = packed
+        while x:  # the even units' slots, highest first, as in unpack
             shift = (x.bit_length() - 1) & -SLOT_BITS
             p = x >> shift
             x ^= p << shift
             image = slot_images.get(shift)
             if image is None:
-                tag, up = _image(ctx, ctx._units[shift // SLOT_BITS], op)
-                image = slot_images[shift] = (tag, up - (1 << shift))
-            _add_term(outs[image[0]], (packed + image[1], odd), coeff * p)
-        if funcs:
-            got = func_derivs.get(funcs)
-            if got is None:
-                got = func_derivs[funcs] = _func_summands(ctx, funcs, op)
-            for tag, delta, k_odd, c2 in got:
+                image = slot_images[shift] = _slot_image(ctx, shift, op)
+            if type(image) is tuple:  # an even jet
+                _add_term(outs[image[0]], (packed + image[1], odd), coeff * p)
+                continue
+            for tag, delta, k_odd, c2 in image:
                 if k_odd & odd:
                     continue
                 q = packed + delta
                 held |= q
-                c = coeff * c2
+                c = coeff * p * c2
                 if k_odd and odd and _crossings(k_odd, odd) % 2:
                     c = -c
                 _add_term(outs[tag], (q, k_odd | odd), c)

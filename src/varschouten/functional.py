@@ -24,15 +24,20 @@ def functional_parity(F: Functional) -> int:
     return p
 
 
+def _shared_ctx(*functionals: Functional) -> FieldContext:
+    """The field context of the functionals; ValueError when they differ."""
+    if any(F.ctx is not functionals[0].ctx for F in functionals):
+        raise ValueError("functionals belong to different field contexts")
+    return functionals[0].ctx
+
+
 def functional_eq(F: Functional, G: Functional) -> bool:
     """True iff F and G agree as functionals (densities differ by a divergence)."""
-    if F.ctx is not G.ctx:
-        raise ValueError("functionals belong to different field contexts")
+    _shared_ctx(F, G)
     return is_exact(F.density - G.density)
 
 
 def scale_add(c1: Rat, F: Functional, c2: Rat, G: Functional) -> Functional:
     """The functional with density c1*F.density + c2*G.density."""
-    if F.ctx is not G.ctx:
-        raise ValueError("functionals belong to different field contexts")
+    _shared_ctx(F, G)
     return Functional(F.density.scale(c1) + G.density.scale(c2))

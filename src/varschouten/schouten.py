@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .calculus import euler  # noqa: F401  (kept bound here: bench/tracer.py wraps it)
 from .core import Expression, _accumulate
-from .functional import Functional, functional_parity
+from .functional import Functional, _shared_ctx, functional_parity
 
 
 def _sign(exponent: int) -> int:
@@ -33,9 +33,7 @@ def _faces(ctx):
 
 def schouten_bracket(F: Functional, G: Functional) -> Functional:
     """The variational Schouten bracket [[F, G]] of homogeneous functionals."""
-    if F.ctx is not G.ctx:
-        raise ValueError("functionals belong to different field contexts")
-    ctx = F.ctx
+    ctx = _shared_ctx(F, G)
     functional_parity(F)
     functional_parity(G)
     if F.density.is_zero() or G.density.is_zero():

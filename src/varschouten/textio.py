@@ -43,6 +43,7 @@ from .core import (
     jet,
     unpack,
 )
+from .trace import SECTIONS
 
 #: deepest nesting of '(' and function calls the parser accepts; the parser
 #: recurses once per level, so this keeps it far from the interpreter's limit
@@ -510,8 +511,7 @@ def format_density(e: Expression, style: str = "plain") -> str:
 # ---------------------------------------------------------------------------
 
 
-#: the trace report's sections, in display order
-_SECTIONS = ("lhs", "rhs1", "rhs2")
+_SECTIONS = tuple(sect.name for sect in SECTIONS)  # in display order
 
 
 def _report_renderer(report):

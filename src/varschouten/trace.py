@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from .calculus import is_exact
 from .core import Expression, _accumulate
-from .functional import Functional, functional_parity
+from .functional import Functional, _shared_ctx, functional_parity
 from .schouten import _faces, _sign, eq1_sign, jacobi_defect
 
 ROLES = ("F", "G", "H")
@@ -171,9 +171,7 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
     verdict is "verified" when every piece pairs, otherwise "unresolved" with
     the surviving residue reported.
     """
-    if not (F.ctx is G.ctx is H.ctx):
-        raise ValueError("functionals belong to different field contexts")
-    ctx = F.ctx
+    ctx = _shared_ctx(F, G, H)
     parities = {r: functional_parity(X) for r, X in zip(ROLES, (F, G, H))}
     # Every piece is trilinear in (F, G, H), one factor from each role, so the
     # expansion runs on the primitive parts (int coefficients): a piece's

@@ -645,6 +645,34 @@ class TestDerivationTable:
         assert met and len(set(met)) == len(met) and not before & set(met)
         assert set(ctx._derivs) == {0, core._SWEEP}
 
+    def test_each_argument_is_differentiated_once(self, ctx, monkeypatch):
+        # the table is keyed by unit, not by function part: exp(q) stands in
+        # three parts, alone, squared and beside sin(q[1]), and its argument
+        # q is differentiated once per derivation all the same
+        met = Counter()
+
+        def derive(e, op, minuend=None):
+            if any(e is arg for arg in ctx._args):
+                met[format_density(e), op] += 1
+            return real(e, op, minuend)
+
+        real = core._derive
+        monkeypatch.setattr(core, "_derive", derive)
+        e = parse_density("exp(q)*q[1] + exp(q)^2*p + exp(q)*sin(q[1])*p[1]", ctx)
+        total_derivative(e)
+        partial(e, JetVar(ctx.owner("q"), (0,)))
+        assert met == {(arg, op): 1 for arg in ("q", "q[1]") for op in (0, core._SWEEP)}
+        # per derivation two tables: slot shift -> image, odd bit -> image
+        assert all(len(tables) == 2 for tables in ctx._derivs.values())
+
+    def test_the_engine_decodes_no_key(self):
+        # the engine walks a key's slots and bits itself: neither _derive nor
+        # its image builder reads unpack or the mask of the function units
+        for fn in (core._derive, core._slot_image):
+            tree = ast.parse(inspect.getsource(fn))
+            names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree)}
+            assert not names & {"unpack", "_funcs"}, fn.__name__
+
     @staticmethod
     def _reads_elsewhere(home: str, private: set) -> list:
         """Every read of one of the private names in a module other than home."""

@@ -157,41 +157,49 @@ class Functional:
 
         It belongs to the functional, not to the density that represents it
         (E o D = 0).  The left one is folded from the sweep on its first ask
-        and kept; the right one is read off it on each call (core._right).
-        A power past MAX_POWER raises ValueError only along this owner.
+        and kept; the right one is read off it (_sided).  A power past
+        MAX_POWER raises ValueError only along this owner.
         """
-        _check_side(side)
         ctx, owner = self.ctx, self.ctx.owner(ref)
-        left = self._keep(("euler", owner), lambda: _alternating_total(
+        return self._sided(("euler", owner), owner, side, lambda: _alternating_total(
             ctx, {v.order: d for v, d in _along(ctx, self.sweep, owner, "left").items()}, 0))
-        return left if side == "left" else Expression(ctx, _right(ctx, owner, left.terms))
 
     def blocks(self, ref: Union[int, str], side: str = "left") -> list:
         """The Euler blocks along an owner, kept per side (see euler_blocks)."""
         owner = self.ctx.owner(ref)
-        return self._keep(
-            ("blocks", owner, side), lambda: _blocks(_along(self.ctx, self.sweep, owner, side))
-        )
+        return self._sided(("blocks", owner), owner, side, lambda: _blocks(
+            _along(self.ctx, self.sweep, owner, "left")))
 
     def cells(self, w1: Union[int, str], side1: str, w2: Union[int, str], side2: str) -> list:
         """The mixed second-variation cells: trace.second_variation_cells of
         the density.  Each is an Euler block, over sigma, of a tau Euler block
         of a first partial, whose sweep is kept per first strike (w1, side1)."""
-        _check_side(side2)  # side1 is checked by the first strike's _along
         ctx, w1, w2 = self.ctx, self.ctx.owner(w1), self.ctx.owner(w2)
-        firsts = self._keep(
-            ("firsts", w1, side1),
-            lambda: [(v1, _sweep(d)) for v1, d in _along(ctx, self.sweep, w1, side1).items()],
-        )
-        return self._keep(
-            ("cells", w1, side1, w2, side2),
-            lambda: [
-                ((sigma, tau), value)
-                for v1, sweep in firsts
-                for tau, block in _blocks(_along(ctx, sweep, w2, side2))
-                for sigma, value in _blocks({v1: block})
-            ],
-        )
+        return self._sided(("cells", w1, side1, w2), w2, side2, lambda: [
+            ((sigma, tau), value)
+            for v1, sweep in self._keep(("firsts", w1, side1), lambda: [
+                (v1, _sweep(d)) for v1, d in _along(ctx, self.sweep, w1, side1).items()])
+            for tau, block in _blocks(_along(ctx, sweep, w2, "left"))
+            for sigma, value in _blocks({v1: block})
+        ])
+
+    def _sided(self, key: tuple, owner: int, side: str, make):
+        """The entry at key, made by make() with owner struck on the left, on
+        the left side or for an even owner; on the right of an odd one, its
+        twin kept at key + ("right",).  D keeps each monomial's odd count, so
+        core._right turns a left Euler derivative, block list or cell list
+        into the right one with no second fold."""
+        _check_side(side)
+        left = self._keep(key, make)
+        if side == "left" or not self.ctx.parities[owner]:
+            return left
+        ctx = self.ctx
+
+        def flip(e):
+            return Expression(ctx, _right(ctx, owner, e.terms))
+
+        return self._keep(key + ("right",), lambda: (
+            flip(left) if isinstance(left, Expression) else [(i, flip(e)) for i, e in left]))
 
     def is_zero(self) -> bool:
         """True iff the functional is zero, i.e. the density is exact.

@@ -546,7 +546,7 @@ def _right(ctx, owner: int, terms: dict) -> dict:
     monomial m': along an odd owner, the monomials with an odd number of odd
     jets change sign, and along an even one the terms come back as they are.
     D keeps every monomial's number of odd jets, so the same holds for the
-    Euler derivative and its blocks.
+    Euler derivative, its blocks and cells (calculus.Functional._sided).
     """
     if not ctx.parities[owner]:
         return terms
@@ -608,6 +608,32 @@ def _accumulate(out: dict, e: "Expression", sign: int) -> None:
     """Add sign * e (sign +-1) into the term dict out."""
     for key, c in e.terms.items():
         _add_term(out, key, c if sign > 0 else -c)
+
+
+def _products(ctx: FieldContext, factors: Iterable, out: dict | None = None) -> "Expression":
+    """The sum of sign * a * b over the (sign, a, b) of factors, sign +-1, in
+    one term dict: out when given (the call takes it over), else a new one.
+    Overflow is one test of the whole sum (_overflows), so products past
+    MAX_POWER that cancel raise nothing."""
+    out = {} if out is None else out
+    held = 0  # the OR of the packed parts of every operand (see _overflows)
+    for sign, a, b in factors:
+        for (p1, o1), c1 in a.terms.items():
+            held |= p1
+            if sign < 0:
+                c1 = -c1
+            for (p2, o2), c2 in b.terms.items():
+                if o1 & o2:
+                    continue
+                c = c1 * c2
+                if o1 and o2 and _crossings(o1, o2) % 2:
+                    c = -c
+                _add_term(out, (p1 + p2, o1 | o2), c)
+        for p2, _ in b.terms:
+            held |= p2
+    if held & ctx._guard >> 1 and _overflows(ctx, out):
+        raise ValueError(_TOO_LARGE)
+    return Expression(ctx, out)
 
 
 class Expression:
@@ -705,22 +731,7 @@ class Expression:
         if not isinstance(other, Expression):
             return NotImplemented
         self._require_same_ctx(other)
-        out: dict = {}
-        held = 0  # the OR of the packed parts of both operands (see _overflows)
-        for (p1, o1), c1 in self.terms.items():
-            held |= p1
-            for (p2, o2), c2 in other.terms.items():
-                if o1 & o2:
-                    continue
-                c = c1 * c2
-                if o1 and o2 and _crossings(o1, o2) % 2:
-                    c = -c
-                _add_term(out, (p1 + p2, o1 | o2), c)
-        for p2, _ in other.terms:
-            held |= p2
-        if held & self.ctx._guard >> 1 and _overflows(self.ctx, out):
-            raise ValueError(_TOO_LARGE)
-        return Expression(self.ctx, out)
+        return _products(self.ctx, ((1, self, other),))
 
     __rmul__ = __mul__  # int * e or Fraction * e: a rational scalar commutes
 

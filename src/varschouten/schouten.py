@@ -5,14 +5,17 @@ Euler derivatives of the second over every field/antifield pair, with
 coupling +1 on the (field, antifield) face and -1 on the (antifield, field)
 face; _faces is the one statement of these couplings.  It reads them from
 each functional's store (Functional.euler), so a functional in several
-brackets is differentiated once.  Its grading is shifted:
+brackets is differentiated once.  A bracket, the Jacobi defect and the
+graded-symmetry defect are each one signed sum of face products
+(_face_products), built in one term dict by core._products, which reads
+overflow once for the whole sum.  Its grading is shifted:
 |[[F,G]]| = |F| + |G| + 1 mod 2.
 """
 
 from __future__ import annotations
 
 from .calculus import euler  # noqa: F401  (kept bound here: bench/tracer.py wraps it)
-from .core import Expression, _accumulate
+from .core import Expression, _products
 from .functional import Functional, _shared_ctx, functional_parity
 
 
@@ -31,17 +34,24 @@ def _faces(ctx):
         yield i, 1, (anti, "right"), (field, "left"), -1
 
 
+def _face_products(*brackets):
+    """The triples (sign * coupling, Euler derivative of F, of G) whose
+    products sum to sign * [[F, G]] (core._products), one per face of _faces,
+    for each (F, G, sign) of brackets.  Both parities of a bracket are
+    checked first, and one with a zero argument yields no triple."""
+    for F, G, sign in brackets:
+        ctx = _shared_ctx(F, G)
+        functional_parity(F)
+        functional_parity(G)
+        if F.density.is_zero() or G.density.is_zero():
+            continue
+        for _, _, first, second, coupling in _faces(ctx):
+            yield sign * coupling, F.euler(*first), G.euler(*second)
+
+
 def schouten_bracket(F: Functional, G: Functional) -> Functional:
     """The variational Schouten bracket [[F, G]] of homogeneous functionals."""
-    ctx = _shared_ctx(F, G)
-    functional_parity(F)
-    functional_parity(G)
-    if F.density.is_zero() or G.density.is_zero():
-        return Functional(Expression.zero(ctx))
-    terms: dict = {}
-    for _, _, first, second, sign in _faces(ctx):
-        _accumulate(terms, F.euler(*first) * G.euler(*second), sign)
-    return Functional(Expression(ctx, terms))
+    return Functional(_products(F.ctx, _face_products((F, G, 1))))
 
 
 def eq1_sign(pF: int, pG: int) -> int:
@@ -52,16 +62,13 @@ def eq1_sign(pF: int, pG: int) -> int:
 def _jacobi_density(F, G, H, fg, fh, gh) -> Expression:
     """The Jacobi defect density given the inner brackets fg=[[F,G]], fh, gh."""
     sign = eq1_sign(functional_parity(F), functional_parity(G))
-    lhs = schouten_bracket(F, gh).density
-    rhs1 = schouten_bracket(fg, H).density
-    rhs2 = schouten_bracket(G, fh).density
-    return lhs - rhs1 - rhs2.scale(sign)
+    return _products(F.ctx, _face_products((F, gh, 1), (fg, H, -1), (G, fh, -sign)))
 
 
 def _symmetry_density(F, G, fg) -> Expression:
     """The graded-symmetry defect density given the bracket fg=[[F,G]]."""
     sign = eq1_sign(functional_parity(F), functional_parity(G))
-    return fg.density + schouten_bracket(G, F).density.scale(sign)
+    return _products(F.ctx, _face_products((G, F, sign)), dict(fg.density.terms))
 
 
 def jacobi_defect(F: Functional, G: Functional, H: Functional) -> Functional:

@@ -21,7 +21,7 @@ from itertools import count
 from typing import Optional, Union
 
 from .calculus import is_exact
-from .core import Expression, _accumulate
+from .core import Expression, _accumulate, _products
 from .functional import Functional, _shared_ctx, functional_parity
 from .schouten import _faces, _sign, eq1_sign, jacobi_defect
 
@@ -230,10 +230,10 @@ def expand_trace(F: Functional, G: Functional, H: Functional) -> TraceReport:
                         head = heads.get(pair)
                         if head is None:
                             head = heads[pair] = a * b if left else b * c
-                        raw = head * c if left else a * head
-                        if raw.is_zero():
+                        operands = (head, c) if left else (a, head)
+                        signed = _products(ctx, ((spec.scalar, *operands),))
+                        if signed.is_zero():
                             continue
-                        signed = raw if spec.scalar > 0 else -raw
                         _accumulate(group_total, signed, 1)
                         by_role = {sect.P: sig_p, cof_role: sig_c, struck: None}
                         unstruck = tuple(by_role[r] for r in ROLES)
@@ -349,15 +349,17 @@ def _paired(partners: dict, key: tuple, role: str, signed: Expression):
 
     Pairing compares signed primitive densities: a match pairs when it equals
     its partner and reports the partner's density, a cancel when it is the
-    opposite and reports the negation.  None when nothing at key pairs."""
+    opposite, term by term, and reports the negation.  None when nothing at
+    key pairs."""
     found = partners.get(key)
-    if found is not None:
-        twin, twin_signed = found
-        if role == "match" and twin_signed == signed:
-            return twin.density
-        if role == "cancel" and (twin_signed + signed).is_zero():
-            return -twin.density
-    return None
+    if found is None:
+        return None
+    twin, twin_signed = found
+    theirs, ours = twin_signed.terms, signed.terms
+    if role == "match":
+        return twin.density if theirs == ours else None
+    opposite = len(theirs) == len(ours) and all(theirs.get(k) == -c for k, c in ours.items())
+    return -twin.density if opposite else None
 
 
 def _level(e: Expression) -> str:

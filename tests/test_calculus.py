@@ -28,6 +28,7 @@ from varschouten import (
     sin,
     total_derivative,
 )
+from varschouten.calculus import _alternating_total, _blocks
 from varschouten.core import MAX_POWER, _along, _lower, _sweep, eval_zero_section
 from varschouten.fuzz import FuzzParams, random_expression, random_functional, trial_seed
 
@@ -364,6 +365,46 @@ class TestEuler:
             d = total_derivative(e)
             assert euler(d, "q", "left").is_zero()
             assert euler(d, "p", "left").is_zero()
+
+    @CONTEXTS
+    def test_right_side_reads_match_a_right_sweep(self, text, max_jet_order, extra):
+        # every right-side Euler derivative, block and cell is read off the
+        # left one; each equals what a fold of the right partials gives
+        ctx = parse_context(text)
+        params = FuzzParams(max_jet_order=max_jet_order, max_degree=3)
+        rng = random.Random(31)
+        owners = range(len(ctx.names))
+        flipped = 0  # right-side reads that differ from the left ones
+        for _ in range(6):
+            F = Functional(random_expression(ctx, rng, params, rng.randint(0, 1)))
+            for w2 in owners:
+                right = _along(ctx, F.sweep, w2, "right")
+                reads = [(F.euler(w2, "right"), F.euler(w2, "left"))]
+                assert reads[0][0] == _alternating_total(
+                    ctx, {v.order: d for v, d in right.items()}, 0
+                )
+                reads.append((F.blocks(w2, "right"), F.blocks(w2, "left")))
+                assert reads[1][0] == _blocks(right)
+                for w1 in owners:
+                    for side1 in ("left", "right"):
+                        cells = F.cells(w1, side1, w2, "right")
+                        assert cells == [
+                            ((sigma, tau), value)
+                            for v1, d in _along(ctx, F.sweep, w1, side1).items()
+                            for tau, block in _blocks(_along(ctx, _sweep(d), w2, "right"))
+                            for sigma, value in _blocks({v1: block})
+                        ]
+                        reads.append((cells, F.cells(w1, side1, w2, "left")))
+                for right_read, left_read in reads:
+                    # along an even owner the right side is the left one
+                    # itself; along an odd one it is kept on its first read
+                    if ctx.parities[w2]:
+                        flipped += right_read != left_read
+                    else:
+                        assert right_read is left_read
+                assert F.euler(w2, "right") is reads[0][0]
+                assert F.blocks(w2, "right") is reads[1][0]
+        assert flipped
 
     def test_multi_direction_fold(self):
         ctx2 = parse_context("indep x y\nfield u even antifield v\n")

@@ -37,7 +37,15 @@ from varschouten import (
     total_derivative,
 )
 from varschouten import core
-from varschouten.core import FUNC_DERIVATIVE, MAX_POWER, _along, _sweep, normalize_order, unpack
+from varschouten.core import (
+    FUNC_DERIVATIVE,
+    MAX_POWER,
+    _along,
+    _products,
+    _sweep,
+    normalize_order,
+    unpack,
+)
 
 
 class TestFieldContext:
@@ -338,6 +346,21 @@ class TestPowerLimit:
         )
         assert partial(e, JetVar(0, (0,))) == 20000 * q**19999 * E * p
         assert euler(e, "q") == 20000 * q**19999 * E * p
+
+    def test_products_past_the_slot_that_cancel_raise_nothing(self, ctx):
+        # overflow is read once off the whole sum of products, so two
+        # products holding q^40000 that cancel give zero, while one raises
+        q = jet(ctx, "q")
+        a, b = q**20000 * jet(ctx, "p"), q**20000 * jet(ctx, "q", 1)
+        assert _products(ctx, [(1, a, b), (-1, a, b)]).is_zero()
+        with pytest.raises(ValueError, match="larger than"):
+            a * b
+        with pytest.raises(ValueError, match="larger than"):
+            _products(ctx, [(1, a, b), (-1, a, q * b)])
+        # a start dict is taken over, and the products are added into it
+        start = dict((q * jet(ctx, "p")).terms)
+        total = _products(ctx, [(-1, q, jet(ctx, "p"))], start)
+        assert total.is_zero() and total.terms is start
 
     def test_an_overflow_inside_a_function_argument_raises(self, ctx):
         # the limit: D of the argument A holds q^39999, and a function

@@ -453,6 +453,20 @@ class TestErrorHandling:
             assert (code, out) == (2, "")
             assert err == f"error: a power in a monomial is larger than {MAX_POWER}\n"
 
+    @pytest.mark.parametrize(
+        "second, want",
+        [
+            # [[F,F]] = 0 for odd F: the face products hold q^39999*p and
+            # cancel, and overflow is read off the bracket's sum
+            ("p", (0, "0\n", "")),
+            ("p[1]", (2, "", f"error: a power in a monomial is larger than {MAX_POWER}\n")),
+        ],
+    )
+    def test_bracket_face_products_past_a_key_slot(self, capsys, second, want):
+        power = "*".join(["q^1000"] * 20)
+        code, out, err = run(["bracket", "--F", f"{power}*p", "--G", f"{power}*{second}"], capsys)
+        assert (code, out, err) == want
+
     @pytest.mark.parametrize("digit", ["²", "٣"])  # superscript two, Arabic-Indic three
     def test_non_ascii_digit_exits_2(self, capsys, digit):
         code, out, err = run(["normalize", "--density", f"q^{digit}"], capsys)

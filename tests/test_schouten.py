@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from varschouten import (
+    Expression,
     Functional,
     cos,
     eq1_sign,
@@ -26,8 +27,9 @@ from varschouten import (
     total_derivative,
     zero_functional,
 )
+from varschouten import core
 from varschouten.fuzz import FuzzParams, random_functional, run_fuzz, trial_seed
-from varschouten.schouten import _jacobi_density
+from varschouten.schouten import _faces, _jacobi_density, _symmetry_density
 
 
 def test_golden_inner_bracket_value(ctx, golden):
@@ -253,3 +255,76 @@ class TestReorderSignLedger:
                     8: sign((pf - 1) * (pg - 1)) * g,
                 }
                 assert reorder_sign_ledger(pf, pg) == direct
+
+
+def _primitive_triple(ctx, params, index):
+    """Trial index's triple as run_fuzz brackets it: primitive parts."""
+    rng = random.Random(trial_seed(params.seed, index))
+    drawn = (random_functional(ctx, rng, params, label) for label in "FGH")
+    return [Functional(X.density.content_and_primitive()[1], X.label) for X in drawn]
+
+
+def _bracket_by_parts(F, G):
+    """[[F, G]] with each face product built on its own and then added."""
+    terms: dict = {}
+    if not (F.density.is_zero() or G.density.is_zero()):
+        for _, _, first, second, sign in _faces(F.ctx):
+            core._accumulate(terms, F.euler(*first) * G.euler(*second), sign)
+    return Expression(F.ctx, terms)
+
+
+class TestFusedProducts:
+    """Every bracket and defect is one signed sum of face products, built in
+    one term dict (core._products)."""
+
+    @pytest.mark.parametrize(
+        "text, max_jet_order, count",
+        [
+            ("indep x\nfield q even antifield p\n", 2, 10),  # criterion 5
+            ("indep x\nfield u even antifield v\nfield a odd antifield b\n", 1, 8),
+            ("indep x y\nfield q even antifield p\n", 1, 8),
+            ("indep t\nfield psi odd antifield chi\n", 1, 8),
+        ],
+        ids=["line", "pairs", "plane", "odd"],
+    )
+    def test_defects_match_the_products_built_one_by_one(self, text, max_jet_order, count):
+        params = FuzzParams(seed=2026, max_jet_order=max_jet_order)
+        nonzero = 0
+        for index in range(count):
+            F, G, H = _primitive_triple(parse_context(text), params, index)
+            fg, fh, gh = (schouten_bracket(X, Y) for X, Y in ((F, G), (F, H), (G, H)))
+            for (X, Y), bracket in zip(((F, G), (F, H), (G, H)), (fg, fh, gh)):
+                assert bracket.density == _bracket_by_parts(X, Y)
+            sign = eq1_sign(functional_parity(F), functional_parity(G))
+            jacobi = _jacobi_density(F, G, H, fg, fh, gh)
+            assert jacobi == (
+                _bracket_by_parts(F, gh)
+                - _bracket_by_parts(fg, H)
+                - _bracket_by_parts(G, fh).scale(sign)
+            )
+            assert _symmetry_density(F, G, fg) == fg.density + _bracket_by_parts(G, F).scale(sign)
+            nonzero += not jacobi.is_zero()
+        assert nonzero >= 3
+
+    @pytest.mark.parametrize("trial", ["golden", "trial-4"])
+    def test_no_product_builds_an_intermediate_density(self, ctx, golden, monkeypatch, trial):
+        # a bracket or defect that built its face products, or its brackets,
+        # as densities of their own and then added them would call these
+        F, G, H = golden if trial == "golden" else _primitive_triple(ctx, FuzzParams(seed=2026), 4)
+
+        def refuse(*args):
+            raise AssertionError("an intermediate density was built")
+
+        for owner, name in (
+            (Expression, "__mul__"),
+            (Expression, "__sub__"),
+            (Expression, "scale"),
+            (core, "_accumulate"),
+        ):
+            monkeypatch.setattr(owner, name, refuse)
+        fg, fh, gh = (schouten_bracket(X, Y) for X, Y in ((F, G), (F, H), (G, H)))
+        jacobi = _jacobi_density(F, G, H, fg, fh, gh)
+        symmetry = _symmetry_density(F, G, fg)
+        monkeypatch.undo()
+        assert not fg.density.is_zero() and not jacobi.is_zero()
+        assert is_exact(jacobi) and symmetry.is_zero()
